@@ -7,125 +7,40 @@ intermediate) marginal law, with independent PDE / kernel-density / bump
 oracles for validation and a reverse-time sampler driven by the result.
 """
 
-from .config import ConfigError, RunConfig, load_config, parse_config
+from .config import ConfigError, load_config
 from .estimator import (
     AnalyticScoreProvider,
-    PathHarvest,
-    ScoreProviderGap,
-    ScoreTable,
     TableScoreProvider,
-    analytic_score_linear,
     estimate_score,
     harvest_paths,
-    read_score_csv,
     reverse_time_sample,
-    silverman_bandwidth,
-    write_score_csv,
 )
-from .malliavin import (
-    BundleBatch,
-    MalliavinBundle,
-    SkorokhodBreakdown,
-    compute_bundle_batch,
-    covering_field,
-    covering_inner_product,
-    dt_first_variation,
-    dt_gamma,
-    dt_inverse_variation,
-    malliavin_covariance,
-    malliavin_derivative_state,
-    skorokhod_batch,
-    skorokhod_integral_general,
-    skorokhod_integral_state_independent,
-)
-from .models import (
-    BUILTIN_MODELS,
-    DomainError,
-    SdeModel,
-    check_derivatives,
-    divergence_sigma_sigma_T,
-    evaluate_model,
-    make_model,
-)
-from .oracles import (
-    DualityReport,
-    FokkerPlanckSolution,
-    KdeScoreResult,
-    MassLeakageError,
-    duality_report,
-    fd_malliavin,
-    fd_malliavin_probes,
-    fokker_planck_1d,
-    kde_score,
-)
-from .paths import (
-    BrownianPath,
-    TimeGrid,
-    TrajectoryBatch,
-    VariationTrajectory,
-    perturb_increment,
-    sample_brownian,
-    sample_brownian_block,
-    simulate_variation_batch,
-    simulate_variations,
-)
+from .malliavin import compute_bundle_batch, skorokhod_batch
+from .models import SdeModel, check_derivatives, make_model
+from .oracles import duality_report, fd_malliavin, fokker_planck_1d, kde_score
+from .paths import TimeGrid, TrajectoryBatch, sample_brownian_block, simulate_variation_batch
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticScoreProvider",
-    "BUILTIN_MODELS",
-    "BrownianPath",
-    "BundleBatch",
     "ConfigError",
-    "DomainError",
-    "DualityReport",
-    "FokkerPlanckSolution",
-    "KdeScoreResult",
-    "MalliavinBundle",
-    "MassLeakageError",
-    "PathHarvest",
-    "RunConfig",
-    "ScoreProviderGap",
-    "ScoreTable",
     "SdeModel",
-    "SkorokhodBreakdown",
     "TableScoreProvider",
     "TimeGrid",
     "TrajectoryBatch",
-    "VariationTrajectory",
-    "analytic_score_linear",
     "check_derivatives",
     "compute_bundle_batch",
-    "covering_field",
-    "covering_inner_product",
-    "divergence_sigma_sigma_T",
-    "dt_first_variation",
-    "dt_gamma",
-    "dt_inverse_variation",
     "duality_report",
     "estimate_score",
-    "evaluate_model",
     "fd_malliavin",
-    "fd_malliavin_probes",
     "fokker_planck_1d",
     "harvest_paths",
     "kde_score",
     "load_config",
     "make_model",
-    "malliavin_covariance",
-    "malliavin_derivative_state",
-    "parse_config",
-    "perturb_increment",
-    "read_score_csv",
     "reverse_time_sample",
-    "sample_brownian",
     "sample_brownian_block",
-    "silverman_bandwidth",
     "simulate_variation_batch",
-    "simulate_variations",
     "skorokhod_batch",
-    "skorokhod_integral_general",
-    "skorokhod_integral_state_independent",
-    "write_score_csv",
 ]

@@ -14,7 +14,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -28,30 +27,19 @@ from .estimator import (
     chunk_size,
     estimate_score,
     read_score_csv,
-    resolve_mode,
     reverse_time_sample,
     write_score_csv,
 )
-from .malliavin import (
-    compute_bundle_batch,
+from .malliavin import compute_bundle_batch, skorokhod_batch
+from .models import DomainError, check_derivatives, make_model
+from .oracles import (
     covering_inner_product,
     dt_first_variation,
-    malliavin_covariance,
+    duality_report,
+    fd_malliavin,
     malliavin_derivative_state,
-    skorokhod_batch,
 )
-from .models import DomainError, check_derivatives, make_model
-from .oracles import duality_report, fd_malliavin_probes
-from .paths import (
-    BrownianPath,
-    TimeGrid,
-    VariationTrajectory,
-    sample_brownian,
-    sample_brownian_block,
-    simulate_variation_batch,
-    simulate_variations,
-    write_trajectories_csv,
-)
+from .paths import TimeGrid, sample_brownian_block, simulate_variation_batch, write_trajectories_csv
 
 BREAKDOWN_HEADER = "path,k,ito,A,B,C,total,gamma_cond"
 
@@ -103,7 +91,6 @@ def cmd_score(cfg: RunConfig, out_dir: str, workers: int) -> int:
     model, grid, x0 = _build(cfg)
     nodes = _score_nodes(cfg, grid)
     points = cfg.y_points()
-    resolve_mode(model, cfg.mode)
     linear = model.name in ("ornstein_uhlenbeck", "linear_multidim")
     with _summary_open(out_dir, "score", cfg) as summary:
         for node in nodes:
@@ -118,11 +105,8 @@ def cmd_score(cfg: RunConfig, out_dir: str, workers: int) -> int:
                 cfg.n_paths,
                 cfg.seed,
                 bandwidth=cfg.bandwidth,
-                mode=cfg.mode,
                 workers=workers,
                 knn=cfg.knn,
-                ridge=cfg.ridge,
-                cond_threshold=cfg.cond_threshold,
                 return_harvest=True,
             )
             _timing(f"score node {node}", t0)
@@ -180,21 +164,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, workers: int) -> int:
         batch = simulate_variation_batch(model, grid, inc, x0)
         n_invalid += int(np.count_nonzero(~batch.valid))
         if traj_fh is not None and dumped < cfg.dump_paths:
-            take = min(cfg.dump_paths - dumped, hi - lo)
-            sub = slice(0, take)
-            small = replace(
-                batch,
-                X=batch.X[sub],
-                Y=batch.Y[sub],
-                Yinv=batch.Yinv[sub],
-                Z=batch.Z[sub],
-                dB=batch.dB[sub],
-                valid=batch.valid[sub],
-            )
-            write_trajectories_csv(
-                traj_fh, small, list(range(lo, lo + take)), header=dumped == 0
-            )
-            dumped += take
+            n_dump = min(cfg.dump_paths - dumped, hi - lo)
+            ids = list(range(lo, lo + n_dump))
+            write_trajectories_csv(traj_fh, batch.take(slice(0, n_dump)), ids, header=dumped == 0)
+            dumped += n_dump
     if traj_fh is not None:
         traj_fh.close()
     _timing("simulate", t0)
@@ -210,18 +183,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, workers: int) -> int:
 
 def cmd_duality(cfg: RunConfig, out_dir: str, workers: int) -> int:
     model, grid, x0 = _build(cfg)
-    prune = resolve_mode(model, cfg.mode)
     t0 = time.time()
     rep = duality_report(
-        model,
-        grid,
-        x0,
-        cfg.n_paths,
-        cfg.seed,
-        mode=cfg.mode,
-        workers=workers,
-        ridge=cfg.ridge,
-        flip_b_term=cfg.flip_b_term,
+        model, grid, x0, cfg.n_paths, cfg.seed, workers=workers, flip_b_term=cfg.flip_b_term
     )
     _timing("duality", t0)
     with open(os.path.join(out_dir, "duality.csv"), "w") as fh:
@@ -234,7 +198,7 @@ def cmd_duality(cfg: RunConfig, out_dir: str, workers: int) -> int:
     with _summary_open(out_dir, "duality", cfg) as summary:
         summary.write(
             f"  paths {rep.n_paths}, excluded {rep.excluded}, mode "
-            f"{'state_independent' if prune else 'general'}\n"
+            f"{'state_independent' if model.state_independent_diffusion else 'general'}\n"
         )
         summary.write(
             f"  max |estimate - identity| in standard errors: {rep.max_z!r} "
@@ -285,23 +249,9 @@ def cmd_reverse(cfg: RunConfig, out_dir: str, workers: int) -> int:
     return 0
 
 
-def _traj_from_batch(batch, p: int, seed: int) -> VariationTrajectory:
-    return VariationTrajectory(
-        model=batch.model,
-        grid=batch.grid,
-        path=BrownianPath(increments=batch.dB[p], seed=seed, path_index=p),
-        X=batch.X[p],
-        Y=batch.Y[p],
-        Yinv=batch.Yinv[p],
-        Z=batch.Z[p],
-        valid=bool(batch.valid[p]),
-    )
-
-
 def _validate_checks(cfg: RunConfig, workers: int):
     """Run the oracle suite on the configured model; yields (name, ok, detail)."""
     model, grid, x0 = _build(cfg)
-    resolve_mode(model, cfg.mode)
     rng = np.random.default_rng(cfg.seed)
 
     rep = check_derivatives(model, seed=cfg.seed)
@@ -328,18 +278,14 @@ def _validate_checks(cfg: RunConfig, workers: int):
         f"{int(ok_paths.sum())} paths)",
     )
 
-    bundle = compute_bundle_batch(batch, cond_threshold=cfg.cond_threshold, ridge=cfg.ridge)
+    bundle = compute_bundle_batch(batch)
     usable = ok_paths & ~bundle.singular
     worst = 0.0
     idx = np.flatnonzero(usable)[:32]
     for p in idx:
-        traj = _traj_from_batch(batch, int(p), cfg.seed)
-        single = malliavin_covariance(
-            traj, cond_threshold=cfg.cond_threshold, ridge=cfg.ridge
-        )
         for i_comp in range(model.m):
             for k in range(model.m):
-                val = covering_inner_product(traj, single, i_comp, k)
+                val = covering_inner_product(batch, int(p), i_comp, k)
                 worst = max(worst, abs(val - eye[i_comp, k]))
     yield (
         "covering-condition",
@@ -364,20 +310,20 @@ def _validate_checks(cfg: RunConfig, workers: int):
         p = int(rng.integers(0, 1 << 30))
         i = int(rng.integers(0, grid.steps - 1))
         l = int(rng.integers(0, model.d))
-        w = sample_brownian(grid, model.d, cfg.seed + 1, p)
+        w = sample_brownian_block(grid, model.d, cfg.seed + 1, p, 1)[0]
         probes.append((w, i, l))
+    paths = simulate_variation_batch(model, grid, np.stack([w for w, _, _ in probes]), x0)
     meds = []
     for target in ("state", "firstvar"):
-        fd_vals = fd_malliavin_probes(target, model, grid, probes, eps, x0)
+        fd_vals = fd_malliavin(target, model, grid, probes, eps, x0)
         errs = []
-        for (w, i, l), fd in zip(probes, fd_vals):
+        for j, ((_, i, l), fd) in enumerate(zip(probes, fd_vals)):
             if fd is None:
                 continue
-            traj = simulate_variations(model, grid, w, x0)
             if target == "state":
-                ana = malliavin_derivative_state(traj, i)[:, l]
+                ana = malliavin_derivative_state(paths, j, i)[:, l]
             else:
-                ana = dt_first_variation(traj, i)[l]
+                ana = dt_first_variation(paths, j, i)[l]
             scale = max(1.0, float(np.abs(ana).max()), float(np.abs(fd).max()))
             errs.append(float(np.abs(np.asarray(fd).reshape(ana.shape) - ana).max()) / scale)
         meds.append(float(np.median(errs)))
@@ -395,9 +341,7 @@ def _validate_checks(cfg: RunConfig, workers: int):
         x0,
         cfg.validate_paths,
         cfg.seed,
-        mode=cfg.mode,
         workers=workers,
-        ridge=cfg.ridge,
         flip_b_term=cfg.flip_b_term,
     )
     _timing("validate duality", t0)

@@ -12,7 +12,16 @@ import yaml
 
 from .models import BUILTIN_MODELS
 
-MODES = ("auto", "general", "state_independent")
+# The keys each section accepts; anything else is refused by name.
+SECTIONS = {
+    "model": ("name", "params"),
+    "grid": ("horizon", "steps"),
+    "sampling": ("x0", "n_paths", "seed"),
+    "score": ("t_eval", "y_min", "y_max", "y_count", "bandwidth", "knn"),
+    "output": ("directory", "dump_paths", "dump_breakdown"),
+    "reverse": ("provider", "n_samples", "tables_dir"),
+    "validate": ("n_paths", "bump_probes", "flip_b_term"),
+}
 PROVIDERS = ("analytic", "tables")
 MIN_KNN = 5
 _REQUIRED = object()
@@ -36,13 +45,10 @@ class RunConfig:
     y_max: tuple = ()
     y_count: tuple = ()
     bandwidth: Any = "auto"
-    mode: str = "auto"
     knn: int | None = None
-    cond_threshold: float = 1e8
     out_dir: str = "out"
     dump_paths: int = 0
     dump_breakdown: bool = False
-    ridge: bool = False
     reverse_provider: str = "analytic"
     reverse_samples: int = 10_000
     reverse_tables_dir: str | None = None
@@ -80,6 +86,9 @@ def _section(raw: dict, name: str) -> dict:
         sec = {}
     if not isinstance(sec, dict):
         raise ConfigError(f"{name}: expected a mapping, got {type(sec).__name__}")
+    for key in sec:
+        if key not in SECTIONS[name]:
+            raise ConfigError(f"{name}.{key}: unknown key (expected one of {list(SECTIONS[name])})")
     return sec
 
 
@@ -136,10 +145,9 @@ def parse_config(raw: dict) -> RunConfig:
     """Validate a parsed mapping into a RunConfig, naming bad fields."""
     if not isinstance(raw, dict):
         raise ConfigError(f"top level: expected a mapping, got {type(raw).__name__}")
-    known = {"model", "grid", "sampling", "score", "output", "reverse", "validate"}
     for key in raw:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown section (expected one of {sorted(known)})")
+        if key not in SECTIONS:
+            raise ConfigError(f"{key}: unknown section (expected one of {sorted(SECTIONS)})")
 
     model = _section(raw, "model")
     name = _get(model, "model", "name", str)
@@ -163,7 +171,6 @@ def parse_config(raw: dict) -> RunConfig:
     x0 = _float_tuple(samp, "sampling", "x0")
     n_paths = _get(samp, "sampling", "n_paths", int)
     seed = _get(samp, "sampling", "seed", int)
-    cond_threshold = _get(samp, "sampling", "cond_threshold", float, 1e8)
     if n_paths < 1:
         raise ConfigError(f"sampling.n_paths: must be positive, got {n_paths}")
 
@@ -192,9 +199,6 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError(f"score.bandwidth: expected 'auto' or a number, got {bandwidth!r}") from None
         if bandwidth <= 0:
             raise ConfigError(f"score.bandwidth: must be positive, got {bandwidth}")
-    mode = _get(score, "score", "mode", str, "auto")
-    if mode not in MODES:
-        raise ConfigError(f"score.mode: expected one of {MODES}, got '{mode}'")
     knn = score.get("knn")
     if knn is not None:
         knn = _get(score, "score", "knn", int)
@@ -205,7 +209,6 @@ def parse_config(raw: dict) -> RunConfig:
     out_dir = _get(out, "output", "directory", str, "out")
     dump_paths = _get(out, "output", "dump_paths", int, 0)
     dump_breakdown = _get(out, "output", "dump_breakdown", bool, False)
-    ridge = _get(out, "output", "ridge", bool, False)
     if dump_paths < 0:
         raise ConfigError(f"output.dump_paths: must be non-negative, got {dump_paths}")
 
@@ -236,13 +239,10 @@ def parse_config(raw: dict) -> RunConfig:
         y_max=y_max,
         y_count=y_count,
         bandwidth=bandwidth,
-        mode=mode,
         knn=knn,
-        cond_threshold=cond_threshold,
         out_dir=out_dir,
         dump_paths=dump_paths,
         dump_breakdown=dump_breakdown,
-        ridge=ridge,
         reverse_provider=provider,
         reverse_samples=reverse_samples,
         reverse_tables_dir=tables_dir,

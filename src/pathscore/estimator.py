@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .malliavin import compute_bundle_batch, skorokhod_batch
-from .models import SdeModel, divergence_sigma_sigma_T, make_model
+from .models import SdeModel, divergence_sigma_sigma_T
 from .paths import TimeGrid, euler_state_batch, sample_brownian_block, simulate_variation_batch
 
 # Noise-stream offsets: the reverse sampler must not reuse the forward
@@ -41,22 +41,6 @@ class ScoreProviderGap(RuntimeError):
 def chunk_size(m: int) -> int:
     """Fixed path-block size; a function of the model dimension only."""
     return 4096 if m == 1 else 2048
-
-
-def resolve_mode(model: SdeModel, mode: str) -> bool:
-    """Map a mode name to the prune flag of the integral assembly."""
-    if mode == "auto":
-        return model.state_independent_diffusion
-    if mode == "state_independent":
-        if not model.state_independent_diffusion:
-            raise ValueError(
-                f"mode 'state_independent' requires a state-independent diffusion; "
-                f"model '{model.name}' is not"
-            )
-        return True
-    if mode == "general":
-        return False
-    raise ValueError(f"unknown mode '{mode}' (want auto|general|state_independent)")
 
 
 @dataclass
@@ -79,11 +63,13 @@ class PathHarvest:
         return int(np.sum(~self.valid))
 
 
-def _harvest_chunk(model, grid, x0, seed, lo, hi, prune, ridge, cond_threshold):
+def _harvest_chunk(model, grid, x0, seed, lo, hi):
     inc = sample_brownian_block(grid, model.d, seed, lo, hi - lo)
     batch = simulate_variation_batch(model, grid, inc, x0)
-    bundle = compute_bundle_batch(batch, cond_threshold=cond_threshold, ridge=ridge)
-    out = skorokhod_batch(batch, bundle, prune=prune)
+    bundle = compute_bundle_batch(batch)
+    # The diffusion-derivative terms are exact zeros for state-independent
+    # diffusion, so skipping them there leaves every bit unchanged.
+    out = skorokhod_batch(batch, bundle, prune=model.state_independent_diffusion)
     valid = batch.valid & ~bundle.singular
     return (
         batch.X[:, -1],
@@ -99,17 +85,12 @@ def _harvest_chunk(model, grid, x0, seed, lo, hi, prune, ridge, cond_threshold):
     )
 
 
-_FORK_STATE: dict | None = None
+# (model, grid, x0, seed) of the harvest that forked the worker pool.
+_FORK_STATE: tuple | None = None
 
 
-def _run_fork_chunk(idx: int):
-    st = _FORK_STATE
-    lo = st["first"] + idx * st["chunk"]
-    hi = min(st["first"] + st["n"], lo + st["chunk"])
-    model = st["model"] if st["model"] is not None else make_model(st["name"], st["params"])
-    return _harvest_chunk(
-        model, st["grid"], st["x0"], st["seed"], lo, hi, st["prune"], st["ridge"], st["cond"]
-    )
+def _run_fork_chunk(bounds: tuple[int, int]):
+    return _harvest_chunk(*_FORK_STATE, *bounds)
 
 
 def harvest_paths(
@@ -118,10 +99,7 @@ def harvest_paths(
     x0,
     n_paths: int,
     seed: int,
-    prune: bool,
     workers: int = 1,
-    ridge: bool = False,
-    cond_threshold: float = 1e8,
     first_path: int = 0,
 ) -> PathHarvest:
     """Simulate n_paths and collect terminal states plus integral breakdowns.
@@ -131,38 +109,20 @@ def harvest_paths(
     index order, so the result is bit-identical to the serial run.
     """
     ch = chunk_size(model.m)
-    n_chunks = (n_paths + ch - 1) // ch
+    end = first_path + n_paths
+    chunks = [(lo, min(end, lo + ch)) for lo in range(first_path, end, ch)]
+    state = (model, grid, np.asarray(x0, dtype=float), seed)
     global _FORK_STATE
-    state = {
-        "model": model,
-        "name": model.name,
-        "params": model.params,
-        "grid": grid,
-        "x0": np.asarray(x0, dtype=float),
-        "seed": seed,
-        "first": first_path,
-        "n": n_paths,
-        "chunk": ch,
-        "prune": prune,
-        "ridge": ridge,
-        "cond": cond_threshold,
-    }
-    if workers > 1 and n_chunks > 1:
+    if workers > 1 and len(chunks) > 1:
         _FORK_STATE = state
         try:
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=min(workers, n_chunks)) as pool:
-                results = pool.map(_run_fork_chunk, range(n_chunks))
+            with ctx.Pool(processes=min(workers, len(chunks))) as pool:
+                results = pool.map(_run_fork_chunk, chunks)
         finally:
             _FORK_STATE = None
     else:
-        results = []
-        for idx in range(n_chunks):
-            lo = first_path + idx * ch
-            hi = min(first_path + n_paths, lo + ch)
-            results.append(
-                _harvest_chunk(model, grid, state["x0"], seed, lo, hi, prune, ridge, cond_threshold)
-            )
+        results = [_harvest_chunk(*state, lo, hi) for lo, hi in chunks]
 
     cat = [np.concatenate([r[j] for r in results], axis=0) for j in range(8)]
     return PathHarvest(
@@ -258,11 +218,8 @@ def estimate_score(
     n_paths: int,
     seed: int,
     bandwidth="auto",
-    mode: str = "auto",
     workers: int = 1,
     knn: int | None = None,
-    ridge: bool = False,
-    cond_threshold: float = 1e8,
     return_harvest: bool = False,
 ):
     """Monte Carlo score estimate at time t on the given evaluation points.
@@ -284,18 +241,7 @@ def estimate_score(
     if points.ndim != 2 or points.shape[1] != model.m:
         raise ValueError(f"evaluation points must have shape (Q, {model.m})")
 
-    prune = resolve_mode(model, mode)
-    harvest = harvest_paths(
-        model,
-        subgrid,
-        x0,
-        n_paths,
-        seed,
-        prune,
-        workers=workers,
-        ridge=ridge,
-        cond_threshold=cond_threshold,
-    )
+    harvest = harvest_paths(model, subgrid, x0, n_paths, seed, workers=workers)
     X = harvest.X_t[harvest.valid]
     delta = harvest.total[harvest.valid]
     if X.shape[0] < 100:

@@ -19,8 +19,8 @@ on the whole path. The correction has three pieces (breakdown fields a, b, c):
 All quadratures are left-point sums over nodes 0..N-1, matching the Euler
 scheme. The batched assembly runs in O(N) per path by pre-accumulating
 prefix/suffix sums in which the t-dependence of the two-time kernels has
-been factored out; per-node operations evaluate the same formulas directly
-and serve as cross-checks.
+been factored out; the direct O(N^2) per-node formulas it reproduces live
+with the oracles.
 """
 
 from __future__ import annotations
@@ -29,7 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import TrajectoryBatch, VariationTrajectory
+from .paths import TrajectoryBatch
+
+# Paths whose Gram matrix has a condition number at or above this are singular.
+COND_LIMIT = 1e8
 
 
 @dataclass
@@ -38,7 +41,7 @@ class BundleBatch:
 
     dX_table has shape (B, N+1, m, d); row i is W_i (row N uses sigma at the
     horizon). F has shape (B, m, m) with columns F[:, k]. Paths whose gamma
-    is near-singular (condition number >= threshold) or non-finite are
+    is near-singular (condition number >= COND_LIMIT) or non-finite are
     flagged in ``singular`` and their inverse entries are unusable.
     """
 
@@ -48,35 +51,6 @@ class BundleBatch:
     dX_table: np.ndarray
     F: np.ndarray
     singular: np.ndarray
-    cond_threshold: float
-    ridge: bool
-
-
-@dataclass
-class MalliavinBundle:
-    """Single-trajectory view of BundleBatch."""
-
-    gamma: np.ndarray
-    gamma_inv: np.ndarray
-    cond: float
-    dX_table: np.ndarray
-    F: np.ndarray
-    singular: bool
-    cond_threshold: float
-    ridge: bool
-
-
-@dataclass
-class SkorokhodBreakdown:
-    """One covering direction's anticipating integral, term by term."""
-
-    k: int
-    ito: float
-    a_term: float
-    b_term: float
-    c_term: float
-    total: float
-    gamma_cond: float
 
 
 def _left_eval(batch: TrajectoryBatch, what: str) -> np.ndarray:
@@ -87,9 +61,7 @@ def _left_eval(batch: TrajectoryBatch, what: str) -> np.ndarray:
     return fn(t_left[None, :], batch.X[:, :N])
 
 
-def compute_bundle_batch(
-    batch: TrajectoryBatch, cond_threshold: float = 1e8, ridge: bool = False
-) -> BundleBatch:
+def compute_bundle_batch(batch: TrajectoryBatch) -> BundleBatch:
     """Sensitivity tables, Gram matrix and its inverse for a block of paths."""
     model, grid = batch.model, batch.grid
     N, m, dt = grid.steps, model.m, grid.dt
@@ -108,12 +80,9 @@ def compute_bundle_batch(
     cond = np.full(batch.n_paths, np.inf)
     if np.any(finite):
         cond[finite] = np.linalg.cond(gamma[finite])
-    singular = ~finite | ~np.isfinite(cond) | (cond >= cond_threshold)
+    singular = ~finite | ~np.isfinite(cond) | (cond >= COND_LIMIT)
 
     gamma_solve = gamma.copy()
-    if ridge:
-        lam = 1e-10 * np.trace(gamma, axis1=1, axis2=2) / m
-        gamma_solve[~singular] += lam[~singular, None, None] * np.eye(m)
     gamma_solve[singular] = np.eye(m)
     gamma_inv = np.linalg.inv(gamma_solve)
     gamma_inv[singular] = np.nan
@@ -126,194 +95,7 @@ def compute_bundle_batch(
         dX_table=dX_table,
         F=F,
         singular=singular,
-        cond_threshold=cond_threshold,
-        ridge=ridge,
     )
-
-
-def malliavin_covariance(
-    traj: VariationTrajectory, cond_threshold: float = 1e8, ridge: bool = False
-) -> MalliavinBundle:
-    """Per-trajectory sensitivity bundle (batch kernel with one path)."""
-    bb = compute_bundle_batch(traj.as_batch(), cond_threshold=cond_threshold, ridge=ridge)
-    return MalliavinBundle(
-        gamma=bb.gamma[0],
-        gamma_inv=bb.gamma_inv[0],
-        cond=float(bb.cond[0]),
-        dX_table=bb.dX_table[0],
-        F=bb.F[0],
-        singular=bool(bb.singular[0]),
-        cond_threshold=cond_threshold,
-        ridge=ridge,
-    )
-
-
-def _node_sigma(traj: VariationTrajectory, i: int) -> np.ndarray:
-    t = traj.grid.nodes()[i]
-    return traj.model.sigma(t, traj.X[i])
-
-
-def _node_dsigma(traj: VariationTrajectory, i: int) -> np.ndarray:
-    t = traj.grid.nodes()[i]
-    return traj.model.dsigma(t, traj.X[i])
-
-
-def malliavin_derivative_state(traj: VariationTrajectory, i: int) -> np.ndarray:
-    """Sensitivity of X_T to the noise at node i: Y_N Yinv_i sigma(t_i, X_i)."""
-    N = traj.grid.steps
-    if not 0 <= i <= N:
-        raise IndexError(f"node {i} outside [0, {N}]")
-    return traj.Y[N] @ traj.Yinv[i] @ _node_sigma(traj, i)
-
-
-def covering_field_frozen(traj: VariationTrajectory, x: np.ndarray, i: int) -> np.ndarray:
-    """The field sigma_i^T Yinv_i^T x at node i for a frozen vector x, shape (d,)."""
-    N = traj.grid.steps
-    if not 0 <= i <= N:
-        raise IndexError(f"node {i} outside [0, {N}]")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (traj.model.m,):
-        raise ValueError(f"frozen vector must have shape ({traj.model.m},)")
-    return x @ traj.Yinv[i] @ _node_sigma(traj, i)
-
-
-def covering_field(traj: VariationTrajectory, bundle: MalliavinBundle, k: int, i: int) -> np.ndarray:
-    """Covering field for direction k: the frozen field at x = F_k."""
-    if bundle.singular:
-        raise ValueError("bundle is near-singular; covering field undefined")
-    return covering_field_frozen(traj, bundle.F[:, k], i)
-
-
-def covering_inner_product(
-    traj: VariationTrajectory, bundle: MalliavinBundle, i_comp: int, k: int
-) -> float:
-    """Left-point quadrature of <W^{i_comp}, u_k>; equals delta_{i_comp,k}."""
-    if bundle.singular:
-        raise ValueError("bundle is near-singular; covering field undefined")
-    N = traj.grid.steps
-    sig_left = _left_eval(traj.as_batch(), "sigma")[0]
-    V = np.einsum("nij,njl->nil", traj.Yinv[:N], sig_left)
-    u = np.einsum("j,njl->nl", bundle.F[:, k], V)
-    W = bundle.dX_table[:N]
-    return float(traj.grid.dt * np.einsum("nl,nl->", W[:, i_comp, :], u))
-
-
-def _dt_first_variation_to(traj: VariationTrajectory, i: int, s: int) -> np.ndarray:
-    """Noise-derivative of Y_s with respect to node i <= s, shape (d, m, m).
-
-    Channel l: Z_s . v - Y_s Yinv_i (Z_i . v) + Y_s Yinv_i dsigma_i^l Y_i,
-    where v = Yinv_i sigma_i^l and "." contracts the third index of Z.
-    """
-    v = traj.Yinv[i] @ _node_sigma(traj, i)  # (m, d)
-    dsig_i = _node_dsigma(traj, i)
-    YsYinv_i = traj.Y[s] @ traj.Yinv[i]
-    out = np.empty((traj.model.d, traj.model.m, traj.model.m))
-    for l in range(traj.model.d):
-        zs_v = traj.Z[s] @ v[:, l]
-        zi_v = traj.Z[i] @ v[:, l]
-        out[l] = zs_v - YsYinv_i @ zi_v + YsYinv_i @ dsig_i[l] @ traj.Y[i]
-    return out
-
-
-def dt_first_variation(traj: VariationTrajectory, i: int) -> np.ndarray:
-    """Noise-derivative of the terminal first variation Y_N, shape (d, m, m)."""
-    N = traj.grid.steps
-    if not 0 <= i < N:
-        raise IndexError(f"node {i} outside [0, {N})")
-    return _dt_first_variation_to(traj, i, N)
-
-
-def dt_inverse_variation(traj: VariationTrajectory, i: int, s: int) -> np.ndarray:
-    """Noise-derivative of Yinv_s; zero for i > s, else -Yinv_s (D_i Y_s) Yinv_s."""
-    N = traj.grid.steps
-    if not (0 <= i < N and 0 <= s <= N):
-        raise IndexError(f"(i={i}, s={s}) outside the grid")
-    if i > s:
-        return np.zeros((traj.model.d, traj.model.m, traj.model.m))
-    dY = _dt_first_variation_to(traj, i, s)
-    return -np.einsum("ij,ljk,kr->lir", traj.Yinv[s], dY, traj.Yinv[s])
-
-
-def omega(traj: VariationTrajectory, i: int) -> np.ndarray:
-    """The terminal-sensitivity kernel at node i, shape (d, m, m).
-
-    Same quantity as dt_first_variation but assembled through the batched
-    einsum pipeline; tests compare the two code paths.
-    """
-    N = traj.grid.steps
-    if not 0 <= i < N:
-        raise IndexError(f"node {i} outside [0, {N})")
-    batch = traj.as_batch()
-    parts = _correction_arrays(batch, compute_bundle_batch(batch, cond_threshold=np.inf))
-    return parts["Om"][0, i]
-
-
-def theta(traj: VariationTrajectory, i: int, s: int) -> np.ndarray:
-    """Noise-derivative kernel of Yinv_s sigma_s for i <= s, shape (d, m, d).
-
-    Channel l:
-      -Yinv_s [Z_s . v - Y_s Yinv_i (Z_i . v) + Y_s Yinv_i dsigma_i^l Y_i]
-        Yinv_s sigma_s
-      + Yinv_s (dsigma_s . (Y_s v^l))
-    with v = Yinv_i sigma_i^l.
-    """
-    N = traj.grid.steps
-    if not (0 <= i < N and 0 <= s < N):
-        raise IndexError(f"(i={i}, s={s}) outside left nodes [0, {N})")
-    if i > s:
-        raise ValueError(f"theta needs i <= s, got i={i} > s={s}")
-    m, d = traj.model.m, traj.model.d
-    v = traj.Yinv[i] @ _node_sigma(traj, i)
-    dsig_s = _node_dsigma(traj, s)
-    Vs = traj.Yinv[s] @ _node_sigma(traj, s)
-    dY = _dt_first_variation_to(traj, i, s)  # channel-wise D_i Y_s
-    out = np.empty((d, m, d))
-    for l in range(d):
-        first = -traj.Yinv[s] @ dY[l] @ Vs
-        w = traj.Y[s] @ v[:, l]
-        second = traj.Yinv[s] @ np.einsum("cjq,q->jc", dsig_s, w)
-        out[l] = first + second
-    return out
-
-
-def dt_gamma_split(
-    traj: VariationTrajectory, bundle: MalliavinBundle, i: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-derivative of gamma at node i, split by quadrature node s.
-
-    Returns (lower, upper), each (d, m, m): lower collects s < i where only
-    the Y_N factor of W_s = Y_N Yinv_s sigma_s feels the perturbation; upper
-    collects s >= i where Yinv_s and sigma_s respond as well. Direct
-    per-node evaluation, quadratic in N; the batched assembly reproduces it.
-    """
-    N, dt = traj.grid.steps, traj.grid.dt
-    if not 0 <= i < N:
-        raise IndexError(f"node {i} outside [0, {N})")
-    m, d = traj.model.m, traj.model.d
-    W = bundle.dX_table[:N]
-    sig_left = _left_eval(traj.as_batch(), "sigma")[0]
-    V = np.einsum("nij,njl->nil", traj.Yinv[:N], sig_left)
-    Om = dt_first_variation(traj, i)
-    YN = traj.Y[N]
-
-    lower = np.zeros((d, m, m))
-    if i > 0:
-        asym = np.einsum("lpa,nac,nqc->lpq", Om, V[:i], W[:i]) * dt
-        lower = asym + np.swapaxes(asym, -1, -2)
-
-    dW = np.empty((N - i, d, m, d))
-    for s in range(i, N):
-        th = theta(traj, i, s)
-        dW[s - i] = np.einsum("lpa,ac->lpc", Om, V[s]) + np.einsum("pa,lac->lpc", YN, th)
-    asym = np.einsum("nlpc,nqc->lpq", dW, W[i:N]) * dt
-    upper = asym + np.swapaxes(asym, -1, -2)
-    return lower, upper
-
-
-def dt_gamma(traj: VariationTrajectory, bundle: MalliavinBundle, i: int) -> np.ndarray:
-    """Total noise-derivative of gamma at node i, shape (d, m, m)."""
-    lower, upper = dt_gamma_split(traj, bundle, i)
-    return lower + upper
 
 
 def _correction_arrays(batch: TrajectoryBatch, bundle: BundleBatch, prune: bool = False) -> dict:
@@ -374,7 +156,13 @@ def skorokhod_batch(batch: TrajectoryBatch, bundle: BundleBatch, prune: bool = F
 
     Returns arrays of shape (B, m): ito, a, b, c, total with
     total = ito - a + b + c. Entries for singular/invalid paths are nan.
+    ``prune`` skips the diffusion-derivative terms, which vanish only for
+    state-independent diffusion; other models refuse it.
     """
+    if prune and not batch.model.state_independent_diffusion:
+        raise ValueError(
+            f"model '{batch.model.name}' has state-dependent diffusion; use the general form"
+        )
     grid = batch.grid
     N, dt = grid.steps, grid.dt
     gi = bundle.gamma_inv
@@ -410,48 +198,3 @@ def skorokhod_batch(batch: TrajectoryBatch, bundle: BundleBatch, prune: bool = F
     for arr in (ito, a, b, c, total):
         arr[bad] = np.nan
     return {"ito": ito, "a": a, "b": b, "c": c, "total": total}
-
-
-def _breakdown_single(
-    traj: VariationTrajectory, bundle: MalliavinBundle, k: int, prune: bool
-) -> SkorokhodBreakdown:
-    if bundle.singular:
-        raise ValueError("near-singular sensitivity Gram matrix; integral undefined")
-    if not traj.valid:
-        raise ValueError("trajectory left the finite domain; integral undefined")
-    if not 0 <= k < traj.model.m:
-        raise IndexError(f"direction {k} outside [0, {traj.model.m})")
-    batch = traj.as_batch()
-    bb = compute_bundle_batch(batch, cond_threshold=bundle.cond_threshold, ridge=bundle.ridge)
-    out = skorokhod_batch(batch, bb, prune=prune)
-    return SkorokhodBreakdown(
-        k=k,
-        ito=float(out["ito"][0, k]),
-        a_term=float(out["a"][0, k]),
-        b_term=float(out["b"][0, k]),
-        c_term=float(out["c"][0, k]),
-        total=float(out["total"][0, k]),
-        gamma_cond=bundle.cond,
-    )
-
-
-def skorokhod_integral_general(
-    traj: VariationTrajectory, bundle: MalliavinBundle, k: int
-) -> SkorokhodBreakdown:
-    """Anticipating integral of the k-th covering field, general diffusion."""
-    return _breakdown_single(traj, bundle, k, prune=False)
-
-
-def skorokhod_integral_state_independent(
-    traj: VariationTrajectory, bundle: MalliavinBundle, k: int
-) -> SkorokhodBreakdown:
-    """Reduced assembly for state-independent diffusion.
-
-    Skips every diffusion-derivative term; requires the model to declare
-    state-independent diffusion.
-    """
-    if not traj.model.state_independent_diffusion:
-        raise ValueError(
-            f"model '{traj.model.name}' has state-dependent diffusion; use the general form"
-        )
-    return _breakdown_single(traj, bundle, k, prune=True)

@@ -3,120 +3,223 @@
 Nothing here feeds the estimator; these are slower, structurally different
 computations of the same quantities:
 
-  fd_malliavin      re-simulation under a bumped Brownian increment
-  kde_score         gradient of a Gaussian kernel density estimate
-  fokker_planck_1d  Crank-Nicolson solve of the forward density PDE (m = 1)
-  duality_report    Monte Carlo check of E[X_T^i delta(u_k)] = delta_ik
+  per-node formulas  direct O(N^2) noise derivatives of one path of a batch
+  fd_malliavin       re-simulation under a bumped Brownian increment
+  kde_score          gradient of a Gaussian kernel density estimate
+  fokker_planck_1d   Crank-Nicolson solve of the forward density PDE (m = 1)
+  duality_report     Monte Carlo check of E[X_T^i delta(u_k)] = delta_ik
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .estimator import PathHarvest, harvest_paths, resolve_mode, silverman_bandwidth
-from .malliavin import compute_bundle_batch
+from .estimator import PathHarvest, harvest_paths, silverman_bandwidth
+from .malliavin import _left_eval, compute_bundle_batch
 from .models import SdeModel
-from .paths import BrownianPath, TimeGrid, simulate_variation_batch
+from .paths import TimeGrid, TrajectoryBatch, simulate_variation_batch
 
 FD_TARGETS = ("state", "firstvar", "invvar", "gamma")
 
 
-def _fd_extract(batch, target: str, s: int | None, cond_threshold: float):
+# Direct per-node formulas. Each reads path p of a batch and evaluates one
+# node (pair) at a time, quadratic in N over a whole path; the O(N) assembly
+# in malliavin.py must reproduce them.
+
+
+def _node_coeff(batch: TrajectoryBatch, p: int, i: int, what: str) -> np.ndarray:
+    t = batch.grid.nodes()[i]
+    return getattr(batch.model, what)(t, batch.X[p, i])
+
+
+def _path_bundle(batch: TrajectoryBatch, p: int):
+    """Path p on its own and its sensitivity bundle."""
+    one = batch.take([p])
+    return one, compute_bundle_batch(one)
+
+
+def malliavin_derivative_state(batch: TrajectoryBatch, p: int, i: int) -> np.ndarray:
+    """Sensitivity of X_T to the noise at node i: Y_N Yinv_i sigma(t_i, X_i)."""
+    N = batch.grid.steps
+    if not 0 <= i <= N:
+        raise IndexError(f"node {i} outside [0, {N}]")
+    return batch.Y[p, N] @ batch.Yinv[p, i] @ _node_coeff(batch, p, i, "sigma")
+
+
+def covering_inner_product(batch: TrajectoryBatch, p: int, i_comp: int, k: int) -> float:
+    """Left-point quadrature of <W^{i_comp}, u_k> on path p; equals delta_{i_comp,k}."""
+    one, bundle = _path_bundle(batch, p)
+    if bundle.singular[0]:
+        raise ValueError("bundle is near-singular; covering field undefined")
+    N = batch.grid.steps
+    sig_left = _left_eval(one, "sigma")[0]
+    V = np.einsum("nij,njl->nil", one.Yinv[0, :N], sig_left)
+    u = np.einsum("j,njl->nl", bundle.F[0][:, k], V)
+    W = bundle.dX_table[0, :N]
+    return float(batch.grid.dt * np.einsum("nl,nl->", W[:, i_comp, :], u))
+
+
+def _dt_first_variation_to(batch: TrajectoryBatch, p: int, i: int, s: int) -> np.ndarray:
+    """Noise-derivative of Y_s with respect to node i <= s, shape (d, m, m).
+
+    Channel l: Z_s . v - Y_s Yinv_i (Z_i . v) + Y_s Yinv_i dsigma_i^l Y_i,
+    where v = Yinv_i sigma_i^l and "." contracts the third index of Z.
+    """
+    Y, Yinv, Z = batch.Y[p], batch.Yinv[p], batch.Z[p]
+    v = Yinv[i] @ _node_coeff(batch, p, i, "sigma")  # (m, d)
+    dsig_i = _node_coeff(batch, p, i, "dsigma")
+    YsYinv_i = Y[s] @ Yinv[i]
+    out = np.empty((batch.model.d, batch.model.m, batch.model.m))
+    for l in range(batch.model.d):
+        zs_v = Z[s] @ v[:, l]
+        zi_v = Z[i] @ v[:, l]
+        out[l] = zs_v - YsYinv_i @ zi_v + YsYinv_i @ dsig_i[l] @ Y[i]
+    return out
+
+
+def dt_first_variation(batch: TrajectoryBatch, p: int, i: int) -> np.ndarray:
+    """Noise-derivative of the terminal first variation Y_N, shape (d, m, m)."""
+    N = batch.grid.steps
+    if not 0 <= i < N:
+        raise IndexError(f"node {i} outside [0, {N})")
+    return _dt_first_variation_to(batch, p, i, N)
+
+
+def dt_inverse_variation(batch: TrajectoryBatch, p: int, i: int, s: int) -> np.ndarray:
+    """Noise-derivative of Yinv_s; zero for i > s, else -Yinv_s (D_i Y_s) Yinv_s."""
+    N = batch.grid.steps
+    if not (0 <= i < N and 0 <= s <= N):
+        raise IndexError(f"(i={i}, s={s}) outside the grid")
+    if i > s:
+        return np.zeros((batch.model.d, batch.model.m, batch.model.m))
+    dY = _dt_first_variation_to(batch, p, i, s)
+    Yinv_s = batch.Yinv[p, s]
+    return -np.einsum("ij,ljk,kr->lir", Yinv_s, dY, Yinv_s)
+
+
+def theta(batch: TrajectoryBatch, p: int, i: int, s: int) -> np.ndarray:
+    """Noise-derivative kernel of Yinv_s sigma_s for i <= s, shape (d, m, d).
+
+    Channel l:
+      -Yinv_s [Z_s . v - Y_s Yinv_i (Z_i . v) + Y_s Yinv_i dsigma_i^l Y_i]
+        Yinv_s sigma_s
+      + Yinv_s (dsigma_s . (Y_s v^l))
+    with v = Yinv_i sigma_i^l.
+    """
+    N = batch.grid.steps
+    if not (0 <= i < N and 0 <= s < N):
+        raise IndexError(f"(i={i}, s={s}) outside left nodes [0, {N})")
+    if i > s:
+        raise ValueError(f"theta needs i <= s, got i={i} > s={s}")
+    m, d = batch.model.m, batch.model.d
+    Y, Yinv = batch.Y[p], batch.Yinv[p]
+    v = Yinv[i] @ _node_coeff(batch, p, i, "sigma")
+    dsig_s = _node_coeff(batch, p, s, "dsigma")
+    Vs = Yinv[s] @ _node_coeff(batch, p, s, "sigma")
+    dY = _dt_first_variation_to(batch, p, i, s)  # channel-wise D_i Y_s
+    out = np.empty((d, m, d))
+    for l in range(d):
+        first = -Yinv[s] @ dY[l] @ Vs
+        w = Y[s] @ v[:, l]
+        second = Yinv[s] @ np.einsum("cjq,q->jc", dsig_s, w)
+        out[l] = first + second
+    return out
+
+
+def dt_gamma_split(batch: TrajectoryBatch, p: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Noise-derivative of gamma at node i, split by quadrature node s.
+
+    Returns (lower, upper), each (d, m, m): lower collects s < i where only
+    the Y_N factor of W_s = Y_N Yinv_s sigma_s feels the perturbation; upper
+    collects s >= i where Yinv_s and sigma_s respond as well.
+    """
+    N, dt = batch.grid.steps, batch.grid.dt
+    if not 0 <= i < N:
+        raise IndexError(f"node {i} outside [0, {N})")
+    m, d = batch.model.m, batch.model.d
+    one, bundle = _path_bundle(batch, p)
+    W = bundle.dX_table[0, :N]
+    sig_left = _left_eval(one, "sigma")[0]
+    V = np.einsum("nij,njl->nil", one.Yinv[0, :N], sig_left)
+    Om = dt_first_variation(batch, p, i)
+    YN = batch.Y[p, N]
+
+    lower = np.zeros((d, m, m))
+    if i > 0:
+        asym = np.einsum("lpa,nac,nqc->lpq", Om, V[:i], W[:i]) * dt
+        lower = asym + np.swapaxes(asym, -1, -2)
+
+    dW = np.empty((N - i, d, m, d))
+    for s in range(i, N):
+        th = theta(batch, p, i, s)
+        dW[s - i] = np.einsum("lpa,ac->lpc", Om, V[s]) + np.einsum("pa,lac->lpc", YN, th)
+    asym = np.einsum("nlpc,nqc->lpq", dW, W[i:N]) * dt
+    upper = asym + np.swapaxes(asym, -1, -2)
+    return lower, upper
+
+
+def dt_gamma(batch: TrajectoryBatch, p: int, i: int) -> np.ndarray:
+    """Total noise-derivative of gamma at node i, shape (d, m, m)."""
+    lower, upper = dt_gamma_split(batch, p, i)
+    return lower + upper
+
+
+def _fd_extract(batch, target: str, s: int | None):
     if target == "state":
         return batch.X[:, -1]
     if target == "firstvar":
         return batch.Y[:, -1]
     if target == "invvar":
         return batch.Yinv[:, s]
-    if target == "gamma":
-        return compute_bundle_batch(batch, cond_threshold=cond_threshold).gamma
-    raise ValueError(f"unknown target '{target}' (want one of {FD_TARGETS})")
+    return compute_bundle_batch(batch).gamma
 
 
 def fd_malliavin(
     target: str,
     model: SdeModel,
     grid: TimeGrid,
-    w: BrownianPath,
-    i: int,
-    l: int,
-    eps: float,
-    x0,
-    s: int | None = None,
-    cond_threshold: float = 1e8,
-) -> np.ndarray:
-    """Central-difference bump oracle for the pathwise derivative formulas.
-
-    Re-simulates with the (i, l) increment shifted by +-eps and returns the
-    centered difference of the target quantity (X_T, Y_T, Yinv_s or gamma).
-    The invvar target requires the node s. Refuses if a bumped path blows up.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if target == "invvar" and s is None:
-        raise ValueError("invvar target requires the observation node s")
-    if not 0 <= i < grid.steps:
-        raise IndexError(f"bump node {i} outside [0, {grid.steps})")
-    inc = np.stack([w.increments, w.increments])
-    inc[0, i, l] += eps
-    inc[1, i, l] -= eps
-    batch = simulate_variation_batch(model, grid, inc, x0)
-    if not np.all(batch.valid):
-        raise RuntimeError(f"bumped path blew up (target {target}, node {i}, eps {eps})")
-    vals = _fd_extract(batch, target, s, cond_threshold)
-    return (vals[0] - vals[1]) / (2.0 * eps)
-
-
-def fd_malliavin_probes(
-    target: str,
-    model: SdeModel,
-    grid: TimeGrid,
     probes: list,
     eps: float,
     x0,
-    cond_threshold: float = 1e8,
 ) -> list:
-    """Batched bump oracle: probes are (w, i, l) or (w, i, l, s) tuples.
+    """Central-difference bump oracle for the pathwise derivative formulas.
 
-    All +-bumped paths are simulated as one block; returns one centered
-    difference per probe (None where the bumped simulation blew up).
+    Probes are (increments, i, l) or (increments, i, l, s) tuples with
+    increments of shape (steps, d). All paths with the (i, l) increment
+    shifted by +-eps are re-simulated as one block; returns one centered
+    difference of the target quantity (X_T, Y_T, Yinv_s or gamma) per probe,
+    None where a bumped path blew up. The invvar target requires the node s.
     """
-    rows = []
-    for probe in probes:
-        w, i, l = probe[0], probe[1], probe[2]
-        plus = w.increments.copy()
-        minus = w.increments.copy()
+    if target not in FD_TARGETS:
+        raise ValueError(f"unknown target '{target}' (want one of {FD_TARGETS})")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    rows, nodes = [], []
+    for w, i, l, *s in probes:
+        if target == "invvar" and not s:
+            raise ValueError("invvar target requires the observation node s")
+        if not 0 <= i < grid.steps:
+            raise IndexError(f"bump node {i} outside [0, {grid.steps})")
+        plus = np.array(w, dtype=float)
+        minus = plus.copy()
         plus[i, l] += eps
         minus[i, l] -= eps
         rows += [plus, minus]
+        nodes.append(s[0] if s else None)
     batch = simulate_variation_batch(model, grid, np.stack(rows), x0)
     out = []
-    for j, probe in enumerate(probes):
-        s = probe[3] if len(probe) > 3 else None
-        if not (batch.valid[2 * j] and batch.valid[2 * j + 1]):
+    for j, s in enumerate(nodes):
+        pair = batch.take(slice(2 * j, 2 * j + 2))
+        if not np.all(pair.valid):
             out.append(None)
             continue
-        vals = _fd_extract(
-            _slice_batch(batch, slice(2 * j, 2 * j + 2)), target, s, cond_threshold
-        )
+        vals = _fd_extract(pair, target, s)
         out.append((vals[0] - vals[1]) / (2.0 * eps))
     return out
-
-
-def _slice_batch(batch, sl):
-    return replace(
-        batch,
-        X=batch.X[sl],
-        Y=batch.Y[sl],
-        Yinv=batch.Yinv[sl],
-        Z=batch.Z[sl],
-        dB=batch.dB[sl],
-        valid=batch.valid[sl],
-    )
 
 
 @dataclass
@@ -332,9 +435,7 @@ def duality_report(
     x0,
     n_paths: int,
     seed: int,
-    mode: str = "auto",
     workers: int = 1,
-    ridge: bool = False,
     harvest: PathHarvest | None = None,
     flip_b_term: bool = False,
 ) -> DualityReport:
@@ -346,16 +447,7 @@ def duality_report(
     beyond 3 SEs.
     """
     if harvest is None:
-        harvest = harvest_paths(
-            model,
-            grid,
-            x0,
-            n_paths,
-            seed,
-            resolve_mode(model, mode),
-            workers=workers,
-            ridge=ridge,
-        )
+        harvest = harvest_paths(model, grid, x0, n_paths, seed, workers=workers)
     ok = harvest.valid
     n_ok = int(ok.sum())
     if n_ok < 100:

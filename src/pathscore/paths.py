@@ -12,10 +12,10 @@ Yinv is *propagated*, not inverted, via
   dYinv = Yinv (-db + sum_l dsigma_l^2) dt - sum_l Yinv dsigma_l dB^l,
 so Y_t Yinv_t - I carries an O(dt) drift that downstream checks monitor.
 
-Everything is vectorized over a leading batch-of-paths axis; the
-single-trajectory entry points run the same kernels with batch size 1.
-Noise is counter-based (Philox keyed on (seed, path_index)) so any path can
-be regenerated independently of execution order or worker count.
+Everything is vectorized over a leading batch-of-paths axis, and a single
+path is a row slice of a batch (TrajectoryBatch.take). Noise is
+counter-based (Philox keyed on (seed, path_index)) so any path can be
+regenerated independently of execution order or worker count.
 """
 
 from __future__ import annotations
@@ -65,33 +65,9 @@ class TimeGrid:
         return TimeGrid(horizon=node * self.dt, steps=node)
 
 
-@dataclass(frozen=True)
-class BrownianPath:
-    """Increments dB_i over [t_i, t_{i+1}), shape (steps, d)."""
-
-    increments: np.ndarray
-    seed: int
-    path_index: int
-
-    @property
-    def steps(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.increments.shape[1]
-
-
 def _philox(seed: int, path_index: int) -> np.random.Generator:
     key = np.array([seed, path_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_brownian(grid: TimeGrid, noise_dim: int, seed: int, path_index: int) -> BrownianPath:
-    """Draw one path's increments from its own counter-based stream."""
-    gen = _philox(seed, path_index)
-    inc = gen.standard_normal((grid.steps, noise_dim)) * math.sqrt(grid.dt)
-    return BrownianPath(increments=inc, seed=seed, path_index=path_index)
 
 
 def sample_brownian_block(
@@ -99,7 +75,8 @@ def sample_brownian_block(
 ) -> np.ndarray:
     """Increments for paths [first_path, first_path + n_paths), shape (n, steps, d).
 
-    Row j is bit-identical to sample_brownian(..., first_path + j).
+    Row j comes from the stream keyed on (seed, first_path + j) alone, so it
+    is bit-identical to the single row drawn with first_path + j, n_paths=1.
     """
     out = np.empty((n_paths, grid.steps, noise_dim))
     root = math.sqrt(grid.dt)
@@ -108,17 +85,6 @@ def sample_brownian_block(
         out[j] = gen.standard_normal((grid.steps, noise_dim))
     out *= root
     return out
-
-
-def perturb_increment(path: BrownianPath, i: int, l: int, eps: float) -> BrownianPath:
-    """Return a copy of the path with eps added to increment (i, l)."""
-    if not 0 <= i < path.steps:
-        raise IndexError(f"step index {i} outside [0, {path.steps})")
-    if not 0 <= l < path.d:
-        raise IndexError(f"channel index {l} outside [0, {path.d})")
-    inc = path.increments.copy()
-    inc[i, l] += eps
-    return replace(path, increments=inc)
 
 
 @dataclass
@@ -146,34 +112,16 @@ class TrajectoryBatch:
     def n_invalid(self) -> int:
         return int(np.sum(~self.valid))
 
-
-@dataclass
-class VariationTrajectory:
-    """One simulated path: state plus first/second variations and Yinv."""
-
-    model: SdeModel
-    grid: TimeGrid
-    path: BrownianPath | None
-    X: np.ndarray
-    Y: np.ndarray
-    Yinv: np.ndarray
-    Z: np.ndarray
-    valid: bool
-
-    @property
-    def dB(self) -> np.ndarray:
-        return self.path.increments
-
-    def as_batch(self) -> TrajectoryBatch:
-        return TrajectoryBatch(
-            model=self.model,
-            grid=self.grid,
-            X=self.X[None],
-            Y=self.Y[None],
-            Yinv=self.Yinv[None],
-            Z=self.Z[None],
-            dB=self.dB[None],
-            valid=np.array([self.valid]),
+    def take(self, idx) -> "TrajectoryBatch":
+        """The paths selected by ``idx`` (index list, slice or mask) as a batch."""
+        return replace(
+            self,
+            X=self.X[idx],
+            Y=self.Y[idx],
+            Yinv=self.Yinv[idx],
+            Z=self.Z[idx],
+            dB=self.dB[idx],
+            valid=self.valid[idx],
         )
 
 
@@ -182,13 +130,11 @@ def simulate_variation_batch(
     grid: TimeGrid,
     increments: np.ndarray,
     x0,
-    reinvert_every: int | None = None,
 ) -> TrajectoryBatch:
     """Propagate (X, Y, Yinv, Z) for a block of paths sharing a grid.
 
-    ``increments`` has shape (B, steps, d). ``reinvert_every=k`` replaces the
-    propagated Yinv by a direct inverse of Y every k steps (off by default;
-    the drift of Y Yinv is a monitored quantity).
+    ``increments`` has shape (B, steps, d). Yinv is never re-inverted: the
+    drift of Y Yinv is a monitored quantity.
 
     Paths that leave the finite domain are flagged invalid, never raised.
     """
@@ -245,13 +191,6 @@ def simulate_variation_batch(
             )
             Z[:, n + 1] = z + zdrift * dt + np.einsum("blijk,bl->bijk", znoise, dW)
 
-            if reinvert_every and (n + 1) % reinvert_every == 0:
-                fresh = np.full((B, m, m), np.nan)
-                ok = np.all(np.isfinite(Y[:, n + 1]), axis=(1, 2))
-                if np.any(ok):
-                    fresh[ok] = np.linalg.inv(Y[ok, n + 1])
-                Yinv[:, n + 1] = fresh
-
     valid = (
         np.all(np.isfinite(X), axis=(1, 2))
         & np.all(np.isfinite(Y), axis=(1, 2, 3))
@@ -259,29 +198,6 @@ def simulate_variation_batch(
         & np.all(np.isfinite(Z), axis=(1, 2, 3, 4))
     )
     return TrajectoryBatch(model=model, grid=grid, X=X, Y=Y, Yinv=Yinv, Z=Z, dB=inc, valid=valid)
-
-
-def simulate_variations(
-    model: SdeModel,
-    grid: TimeGrid,
-    path: BrownianPath,
-    x0,
-    reinvert_every: int | None = None,
-) -> VariationTrajectory:
-    """Single-path wrapper around the batch kernel (identical arithmetic)."""
-    batch = simulate_variation_batch(
-        model, grid, path.increments[None], x0, reinvert_every=reinvert_every
-    )
-    return VariationTrajectory(
-        model=model,
-        grid=grid,
-        path=path,
-        X=batch.X[0],
-        Y=batch.Y[0],
-        Yinv=batch.Yinv[0],
-        Z=batch.Z[0],
-        valid=bool(batch.valid[0]),
-    )
 
 
 def euler_state_batch(model: SdeModel, grid: TimeGrid, increments: np.ndarray, x0) -> np.ndarray:

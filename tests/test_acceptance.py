@@ -18,30 +18,20 @@ from pathscore.estimator import (
     estimate_score,
     reverse_time_sample,
 )
-from pathscore.malliavin import (
-    compute_bundle_batch,
+from pathscore.malliavin import compute_bundle_batch, skorokhod_batch
+from pathscore.models import make_model
+from pathscore.oracles import (
     covering_inner_product,
     dt_first_variation,
     dt_gamma,
     dt_inverse_variation,
-    malliavin_covariance,
-    malliavin_derivative_state,
-    skorokhod_batch,
-)
-from pathscore.models import make_model
-from pathscore.oracles import (
     duality_report,
-    fd_malliavin_probes,
+    fd_malliavin,
     fokker_planck_1d,
     kde_score,
+    malliavin_derivative_state,
 )
-from pathscore.paths import (
-    TimeGrid,
-    sample_brownian,
-    sample_brownian_block,
-    simulate_variation_batch,
-    simulate_variations,
-)
+from pathscore.paths import TimeGrid, sample_brownian_block, simulate_variation_batch
 
 SEED = 20260814
 GRID_256 = TimeGrid(horizon=1.0, steps=256)
@@ -115,17 +105,13 @@ def test_a3_covering_condition_pathwise(announce):
     checked = 0
     for name, x0 in BUILTIN_STARTS:
         model = make_model(name)
-        for p in range(32):
-            w = sample_brownian(GRID_256, model.d, seed=SEED, path_index=p)
-            traj = simulate_variations(model, GRID_256, w, x0=x0)
-            if not traj.valid:
-                continue
-            bundle = malliavin_covariance(traj)
-            if bundle.singular:
-                continue
+        inc = sample_brownian_block(GRID_256, model.d, SEED, 0, 32)
+        batch = simulate_variation_batch(model, GRID_256, inc, x0=x0)
+        usable = batch.valid & ~compute_bundle_batch(batch).singular
+        for p in np.flatnonzero(usable):
             for i_comp in range(model.m):
                 for k in range(model.m):
-                    val = covering_inner_product(traj, bundle, i_comp, k)
+                    val = covering_inner_product(batch, int(p), i_comp, k)
                     worst = max(worst, abs(val - (1.0 if i_comp == k else 0.0)))
                     checked += 1
     ok = worst <= 1e-10 and checked >= 4 * 32
@@ -144,29 +130,29 @@ def _bump_probe_errors(name, x0, n_steps):
     grid = TimeGrid(horizon=1.0, steps=n_steps)
     eps = 1e-4 * math.sqrt(grid.dt)
     rng = np.random.default_rng(20250814)
-    probes, trajs = [], []
+    probes = []
     for _ in range(20):
         p = int(rng.integers(0, 1 << 20))
         i = int(rng.integers(0, n_steps - 1))
         s = int(rng.integers(i + 1, n_steps + 1))
-        w = sample_brownian(grid, model.d, seed=99, path_index=p)
+        w = sample_brownian_block(grid, model.d, 99, p, 1)[0]
         probes.append((w, i, 0, s))
-        trajs.append(simulate_variations(model, grid, w, x0=x0))
+    paths = simulate_variation_batch(model, grid, np.stack([w for w, *_ in probes]), x0)
     errs = {}
     for target in FD_ORDER:
-        fd = fd_malliavin_probes(target, model, grid, probes, eps, x0)
+        fd = fd_malliavin(target, model, grid, probes, eps, x0)
         rows = []
-        for probe, traj, f in zip(probes, trajs, fd):
+        for j, (probe, f) in enumerate(zip(probes, fd)):
             assert f is not None, (name, n_steps, target)
             _, i, l, s = probe
             if target == "state":
-                an = malliavin_derivative_state(traj, i)[:, l]
+                an = malliavin_derivative_state(paths, j, i)[:, l]
             elif target == "firstvar":
-                an = dt_first_variation(traj, i)[l]
+                an = dt_first_variation(paths, j, i)[l]
             elif target == "invvar":
-                an = dt_inverse_variation(traj, i, s)[l]
+                an = dt_inverse_variation(paths, j, i, s)[l]
             else:
-                an = dt_gamma(traj, malliavin_covariance(traj), i)[l]
+                an = dt_gamma(paths, j, i)[l]
             num = float(np.max(np.abs(np.asarray(f) - an)))
             den = max(1.0, float(np.max(np.abs(an))))
             rows.append(num / den)

@@ -305,6 +305,8 @@ class TestErrorPaths:
         )
 
     def test_mode_mismatch(self, tmp_path, capsys):
+        # The assembly follows the model's diffusion; a config that still
+        # asks for a mode is refused with the key named, not half-read.
         cfg = _write(
             tmp_path,
             "model:\n  name: state_dependent_tanh\ngrid:\n  horizon: 1.0\n  steps: 8\n"
@@ -315,7 +317,7 @@ class TestErrorPaths:
         self._expect_config_error(
             ["score", "--config", cfg, "--out", str(tmp_path / "o")],
             capsys,
-            "state-independent",
+            "score.mode: unknown key",
         )
 
     def test_wrong_x0_dimension(self, tmp_path, capsys):

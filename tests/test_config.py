@@ -29,13 +29,12 @@ class TestParse:
         assert cfg.horizon == 1.0 and cfg.steps == 256
         assert cfg.x0 == (0.0,)
         assert cfg.n_paths == 1000 and cfg.seed == 7
-        assert cfg.bandwidth == "auto" and cfg.mode == "auto" and cfg.knn is None
-        assert cfg.cond_threshold == 1e8
+        assert cfg.bandwidth == "auto" and cfg.knn is None
         assert cfg.out_dir == "out" and cfg.dump_paths == 0
         assert cfg.reverse_provider == "analytic" and cfg.reverse_samples == 10_000
         assert cfg.reverse_tables_dir is None
         assert cfg.validate_paths == 10_000 and cfg.bump_probes == 20
-        assert not cfg.flip_b_term and not cfg.ridge and not cfg.dump_breakdown
+        assert not cfg.flip_b_term and not cfg.dump_breakdown
 
     def test_full_round_trip(self):
         raw = _minimal(
@@ -46,7 +45,6 @@ class TestParse:
                 "y_max": [2.0],
                 "y_count": [11],
                 "bandwidth": 0.3,
-                "mode": "general",
             },
             output={"directory": "run1", "dump_paths": 2, "dump_breakdown": True},
             reverse={"provider": "tables", "n_samples": 500, "tables_dir": "tabs"},
@@ -55,7 +53,7 @@ class TestParse:
         cfg = parse_config(raw)
         assert cfg.model_params == {"alpha": 0.25}
         assert cfg.t_eval == (0.5, 1.0)
-        assert cfg.bandwidth == 0.3 and cfg.mode == "general"
+        assert cfg.bandwidth == 0.3
         assert cfg.out_dir == "run1" and cfg.dump_paths == 2 and cfg.dump_breakdown
         assert cfg.reverse_provider == "tables"
         assert cfg.reverse_samples == 500 and cfg.reverse_tables_dir == "tabs"
@@ -97,6 +95,10 @@ class TestParse:
         (lambda r: r.__setitem__("score", {"bandwidth": "wide"}), "score.bandwidth"),
         (lambda r: r.__setitem__("score", {"bandwidth": -2}), "score.bandwidth: must be positive"),
         (lambda r: r.__setitem__("score", {"mode": "fast"}), "score.mode"),
+        (lambda r: r.__setitem__("score", {"mode": "auto"}), "score.mode: unknown key"),
+        (lambda r: r.__setitem__("score", {"bandwith": 0.3}), "score.bandwith: unknown key"),
+        (lambda r: r["sampling"].__setitem__("n_path", 500), "sampling.n_path: unknown key"),
+        (lambda r: r.__setitem__("reverse", {"tables-dir": "t"}), "reverse.tables-dir: unknown"),
         (lambda r: r.__setitem__("score", {"knn": 2}), "score.knn: must be at least 5"),
         (lambda r: r.__setitem__("output", {"dump_paths": -1}), "output.dump_paths"),
         (lambda r: r.__setitem__("output", {"dump_breakdown": 1}), "output.dump_breakdown"),

@@ -23,14 +23,13 @@ from pathscore.estimator import (
     estimate_score,
     harvest_paths,
     read_score_csv,
-    resolve_mode,
     reverse_time_sample,
     score_table_header,
     silverman_bandwidth,
     write_score_csv,
 )
 from pathscore.models import make_model
-from pathscore.paths import TimeGrid, sample_brownian, simulate_variations
+from pathscore.paths import TimeGrid, sample_brownian_block, simulate_variation_batch
 
 OU_SCORE_AT_HALF = -1.1565176427496657  # -(0.5 - 0) / ((1 - e^{-2}) / 2)
 
@@ -91,30 +90,12 @@ class TestKernelRegression:
         assert np.isnan(scores[0, 0]) and np.isnan(stderr[0, 0])
 
 
-class TestModeResolution:
-    def test_auto_follows_model_flag(self):
-        assert resolve_mode(make_model("ornstein_uhlenbeck"), "auto") is True
-        assert resolve_mode(make_model("state_dependent_tanh"), "auto") is False
-
-    def test_explicit_modes(self):
-        m = make_model("ornstein_uhlenbeck")
-        assert resolve_mode(m, "general") is False
-        assert resolve_mode(m, "state_independent") is True
-
-    def test_mismatch_and_unknown_refused(self):
-        tanh = make_model("state_dependent_tanh")
-        with pytest.raises(ValueError, match="state-independent"):
-            resolve_mode(tanh, "state_independent")
-        with pytest.raises(ValueError, match="unknown mode"):
-            resolve_mode(tanh, "sideways")
-
-
 class TestHarvest:
     def test_worker_count_does_not_change_bits(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=32)
-        a = harvest_paths(model, grid, [0.0], 6000, seed=5, prune=True, workers=1)
-        b = harvest_paths(model, grid, [0.0], 6000, seed=5, prune=True, workers=2)
+        a = harvest_paths(model, grid, [0.0], 6000, seed=5, workers=1)
+        b = harvest_paths(model, grid, [0.0], 6000, seed=5, workers=2)
         for field in ("X_t", "ito", "a", "b", "c", "total", "valid", "cond"):
             npt.assert_array_equal(getattr(a, field), getattr(b, field))
         assert a.n_sim_invalid == b.n_sim_invalid
@@ -123,15 +104,15 @@ class TestHarvest:
     def test_first_path_offset_reproduces_single_draws(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=16)
-        h = harvest_paths(model, grid, [0.3], 4, seed=9, prune=True, first_path=7)
-        p = sample_brownian(grid, 1, seed=9, path_index=7)
-        traj = simulate_variations(model, grid, p, x0=[0.3])
-        assert h.X_t[0, 0] == traj.X[-1, 0]
+        h = harvest_paths(model, grid, [0.3], 4, seed=9, first_path=7)
+        inc = sample_brownian_block(grid, 1, seed=9, first_path=7, n_paths=1)
+        batch = simulate_variation_batch(model, grid, inc, x0=[0.3])
+        assert h.X_t[0, 0] == batch.X[0, -1, 0]
 
     def test_breakdown_identity_and_linear_shortcut(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=32)
-        h = harvest_paths(model, grid, [0.0], 500, seed=4, prune=True)
+        h = harvest_paths(model, grid, [0.0], 500, seed=4)
         assert np.all(h.valid)
         npt.assert_array_equal(h.total, h.ito - h.a + h.b + h.c)
         assert np.all(h.a == 0.0) and np.all(h.b == 0.0) and np.all(h.c == 0.0)

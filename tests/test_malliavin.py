@@ -1,56 +1,42 @@
 """Sensitivity-table and anticipating-integral tests.
 
 Two independent code paths exist for every correction term: direct per-node
-formulas (quadratic in the step count) and the factored batched assembly
-(linear in the step count).  The heart of this file checks that they agree
-to near machine precision, and that on an exactly solvable linear model the
-whole pipeline reduces to a short pure-python recursion.
+formulas in the oracle layer (quadratic in the step count) and the factored
+batched assembly (linear in the step count).  The heart of this file checks
+that they agree to near machine precision, and that on an exactly solvable
+linear model the whole pipeline reduces to a short pure-python recursion.
 """
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from pathscore.malliavin import (
-    compute_bundle_batch,
-    covering_field,
-    covering_field_frozen,
+from pathscore.malliavin import _correction_arrays, compute_bundle_batch, skorokhod_batch
+from pathscore.models import make_model
+from pathscore.oracles import (
     covering_inner_product,
     dt_first_variation,
     dt_gamma,
     dt_gamma_split,
     dt_inverse_variation,
-    malliavin_covariance,
     malliavin_derivative_state,
-    omega,
-    skorokhod_batch,
-    skorokhod_integral_general,
-    skorokhod_integral_state_independent,
     theta,
 )
-from pathscore.models import make_model
-from pathscore.paths import (
-    TimeGrid,
-    sample_brownian,
-    sample_brownian_block,
-    simulate_variation_batch,
-    simulate_variations,
-)
+from pathscore.paths import TimeGrid, sample_brownian_block, simulate_variation_batch
 
 
-def _traj(name, steps, seed, x0, params=None, path_index=0):
+def _path(name, steps, seed, x0, params=None, path_index=0):
+    """One simulated path, as a batch of one."""
     model = make_model(name, params)
     grid = TimeGrid(horizon=1.0, steps=steps)
-    p = sample_brownian(grid, model.d, seed=seed, path_index=path_index)
-    return simulate_variations(model, grid, p, x0=x0)
+    inc = sample_brownian_block(grid, model.d, seed, path_index, 1)
+    return simulate_variation_batch(model, grid, inc, x0=x0)
 
 
-def _left_sigma(traj):
-    N = traj.grid.steps
-    t_left = traj.grid.nodes()[:N]
-    return traj.model.sigma(t_left, traj.X[:N])
+def _left_sigma(batch):
+    N = batch.grid.steps
+    t_left = batch.grid.nodes()[:N]
+    return batch.model.sigma(t_left, batch.X[0, :N])
 
 
 def _ou_pure_python(dt, inc, theta_, sigma0, x0):
@@ -71,70 +57,65 @@ def _ou_pure_python(dt, inc, theta_, sigma0, x0):
 class TestBundle:
     def test_linear_pipeline_matches_scalar_recursion(self):
         grid = TimeGrid(horizon=1.0, steps=8)
-        p = sample_brownian(grid, 1, seed=3, path_index=0)
+        inc = sample_brownian_block(grid, 1, 3, 0, 1)
         model = make_model("ornstein_uhlenbeck", {"theta": 1.3, "sigma0": 0.7})
-        traj = simulate_variations(model, grid, p, x0=[0.4])
-        X_ref, Y_ref, gamma_ref, ito_ref = _ou_pure_python(
-            grid.dt, p.increments[:, 0], 1.3, 0.7, 0.4
-        )
-        npt.assert_allclose(traj.X[:, 0], X_ref, rtol=1e-13)
-        npt.assert_allclose(traj.Y[:, 0, 0], Y_ref, rtol=1e-13)
-        bundle = malliavin_covariance(traj)
-        npt.assert_allclose(bundle.gamma[0, 0], gamma_ref, rtol=1e-12)
-        out = skorokhod_batch(traj.as_batch(), compute_bundle_batch(traj.as_batch()))
+        batch = simulate_variation_batch(model, grid, inc, x0=[0.4])
+        X_ref, Y_ref, gamma_ref, ito_ref = _ou_pure_python(grid.dt, inc[0, :, 0], 1.3, 0.7, 0.4)
+        npt.assert_allclose(batch.X[0, :, 0], X_ref, rtol=1e-13)
+        npt.assert_allclose(batch.Y[0, :, 0, 0], Y_ref, rtol=1e-13)
+        bundle = compute_bundle_batch(batch)
+        npt.assert_allclose(bundle.gamma[0, 0, 0], gamma_ref, rtol=1e-12)
+        out = skorokhod_batch(batch, bundle)
         npt.assert_allclose(out["total"][0, 0], ito_ref, rtol=1e-12)
 
     def test_terminal_row_of_sensitivity_table(self):
-        traj = _traj("state_dependent_tanh", 32, 5, [0.2])
-        bundle = malliavin_covariance(traj)
-        N = traj.grid.steps
+        batch = _path("state_dependent_tanh", 32, 5, [0.2])
+        bundle = compute_bundle_batch(batch)
+        N = batch.grid.steps
         for i in (0, 7, N):
             npt.assert_allclose(
-                bundle.dX_table[i], malliavin_derivative_state(traj, i), rtol=1e-14
+                bundle.dX_table[0, i], malliavin_derivative_state(batch, 0, i), rtol=1e-14
             )
         with pytest.raises(IndexError, match="node"):
-            malliavin_derivative_state(traj, N + 1)
+            malliavin_derivative_state(batch, 0, N + 1)
 
     def test_gram_matrix_symmetric_positive(self):
-        traj = _traj("linear_multidim", 64, 9, [0.3, -0.2])
-        bundle = malliavin_covariance(traj)
-        npt.assert_allclose(bundle.gamma, bundle.gamma.T, rtol=1e-12)
-        eigs = np.linalg.eigvalsh(bundle.gamma)
+        bundle = compute_bundle_batch(_path("linear_multidim", 64, 9, [0.3, -0.2]))
+        gamma = bundle.gamma[0]
+        npt.assert_allclose(gamma, gamma.T, rtol=1e-12)
+        eigs = np.linalg.eigvalsh(gamma)
         assert eigs.min() > 0
-        npt.assert_allclose(bundle.gamma @ bundle.gamma_inv, np.eye(2), atol=1e-12)
-        assert not bundle.singular
-        assert bundle.cond < 1e4
+        npt.assert_allclose(gamma @ bundle.gamma_inv[0], np.eye(2), atol=1e-12)
+        assert not bundle.singular[0]
+        assert bundle.cond[0] < 1e4
 
     def test_discrete_gram_near_continuous_value(self):
         # For unit mean reversion and unit noise over unit time the continuous
         # Gram value is (1 - e^{-2})/2; the scheme sits within O(dt) of it.
-        traj = _traj("ornstein_uhlenbeck", 256, 11, [0.0])
-        bundle = malliavin_covariance(traj)
-        assert abs(bundle.gamma[0, 0] - 0.43233235838169365) < 0.01
+        bundle = compute_bundle_batch(_path("ornstein_uhlenbeck", 256, 11, [0.0]))
+        assert abs(bundle.gamma[0, 0, 0] - 0.43233235838169365) < 0.01
 
     def test_zero_noise_flags_singular(self):
-        traj = _traj("ornstein_uhlenbeck", 16, 1, [0.5], params={"sigma0": 0.0})
+        batch = _path("ornstein_uhlenbeck", 16, 1, [0.5], params={"sigma0": 0.0})
         with np.errstate(invalid="ignore", divide="ignore"):
-            bundle = malliavin_covariance(traj)
-        assert bundle.singular
+            bundle = compute_bundle_batch(batch)
+            out = skorokhod_batch(batch, bundle)
+            with pytest.raises(ValueError, match="near-singular"):
+                covering_inner_product(batch, 0, 0, 0)
+        assert bundle.singular[0]
         assert np.all(np.isnan(bundle.gamma_inv))
-        with pytest.raises(ValueError, match="near-singular"):
-            skorokhod_integral_general(traj, bundle, 0)
-        with pytest.raises(ValueError, match="near-singular"):
-            covering_field(traj, bundle, 0, 0)
-        with pytest.raises(ValueError, match="near-singular"):
-            covering_inner_product(traj, bundle, 0, 0)
+        assert all(np.all(np.isnan(v)) for v in out.values())
 
     def test_blown_up_path_refused_for_integrals(self):
         model = make_model("ornstein_uhlenbeck", {"theta": 600.0})
         grid = TimeGrid(horizon=1.0, steps=256)
-        p = sample_brownian(grid, 1, seed=1, path_index=0)
-        traj = simulate_variations(model, grid, p, x0=[1e308])
-        assert not traj.valid
+        inc = sample_brownian_block(grid, 1, 1, 0, 1)
+        batch = simulate_variation_batch(model, grid, inc, x0=[1e308])
+        assert not batch.valid[0]
         with np.errstate(invalid="ignore"):
-            bundle = malliavin_covariance(traj)
-        assert bundle.singular
-        out = skorokhod_batch(traj.as_batch(), compute_bundle_batch(traj.as_batch()))
+            bundle = compute_bundle_batch(batch)
+        assert bundle.singular[0]
+        out = skorokhod_batch(batch, bundle)
         assert np.all(np.isnan(out["total"]))
 
 
@@ -149,85 +130,56 @@ class TestCoveringFields:
         ],
     )
     def test_inner_products_pick_out_components(self, name, x0):
-        traj = _traj(name, 64, 12, x0)
-        bundle = malliavin_covariance(traj)
-        m = traj.model.m
+        batch = _path(name, 64, 12, x0)
+        m = batch.model.m
         for i_comp in range(m):
             for k in range(m):
-                ip = covering_inner_product(traj, bundle, i_comp, k)
+                ip = covering_inner_product(batch, 0, i_comp, k)
                 assert abs(ip - (1.0 if i_comp == k else 0.0)) < 1e-10
-
-    def test_field_is_frozen_field_at_gram_direction(self):
-        traj = _traj("linear_multidim", 32, 2, [0.1, 0.1])
-        bundle = malliavin_covariance(traj)
-        u = covering_field(traj, bundle, 1, 10)
-        w = covering_field_frozen(traj, bundle.F[:, 1], 10)
-        assert np.array_equal(u, w)
-        with pytest.raises(ValueError, match="shape"):
-            covering_field_frozen(traj, np.zeros(3), 0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.floats(min_value=-3, max_value=3),
-        st.floats(min_value=-3, max_value=3),
-        st.integers(min_value=0, max_value=32),
-    )
-    def test_frozen_field_is_linear_in_the_vector(self, a, b, i):
-        traj = _LINEAR_TRAJ
-        x1 = np.array([1.0, -0.5])
-        x2 = np.array([0.3, 2.0])
-        lhs = covering_field_frozen(traj, a * x1 + b * x2, i)
-        rhs = a * covering_field_frozen(traj, x1, i) + b * covering_field_frozen(traj, x2, i)
-        npt.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
-
-
-_LINEAR_TRAJ = _traj("linear_multidim", 32, 8, [0.2, -0.1])
 
 
 class TestNoiseDerivatives:
     def test_two_code_paths_for_terminal_kernel_agree(self):
         for name, x0 in [("state_dependent_tanh", [0.3]), ("linear_multidim", [0.2, 0.1])]:
-            traj = _traj(name, 24, 6, x0)
+            batch = _path(name, 24, 6, x0)
+            Om = _correction_arrays(batch, compute_bundle_batch(batch))["Om"]
             for i in (0, 5, 23):
                 npt.assert_allclose(
-                    omega(traj, i), dt_first_variation(traj, i), rtol=1e-11, atol=1e-13
+                    Om[0, i], dt_first_variation(batch, 0, i), rtol=1e-11, atol=1e-13
                 )
 
     def test_inverse_variation_derivative_is_causal(self):
-        traj = _traj("state_dependent_tanh", 24, 6, [0.3])
-        assert np.all(dt_inverse_variation(traj, 10, 4) == 0.0)
-        got = dt_inverse_variation(traj, 4, 10)
+        batch = _path("state_dependent_tanh", 24, 6, [0.3])
+        assert np.all(dt_inverse_variation(batch, 0, 10, 4) == 0.0)
+        got = dt_inverse_variation(batch, 0, 4, 10)
         assert got.shape == (1, 1, 1)
         assert np.any(got != 0.0)
 
     def test_inverse_variation_derivative_from_product_rule(self):
         # D(Yinv) must equal -Yinv (D Y) Yinv at the same node.
-        traj = _traj("state_dependent_tanh", 24, 7, [0.1])
-        N = traj.grid.steps
-        dY = dt_first_variation(traj, 5)
-        dYinv = dt_inverse_variation(traj, 5, N)
-        want = -traj.Yinv[N] @ dY[0] @ traj.Yinv[N]
+        batch = _path("state_dependent_tanh", 24, 7, [0.1])
+        N = batch.grid.steps
+        dY = dt_first_variation(batch, 0, 5)
+        dYinv = dt_inverse_variation(batch, 0, 5, N)
+        want = -batch.Yinv[0, N] @ dY[0] @ batch.Yinv[0, N]
         npt.assert_allclose(dYinv[0], want, rtol=1e-12)
 
     def test_index_validation(self):
-        traj = _traj("state_dependent_tanh", 16, 6, [0.3])
+        batch = _path("state_dependent_tanh", 16, 6, [0.3])
         with pytest.raises(IndexError):
-            dt_first_variation(traj, 16)
+            dt_first_variation(batch, 0, 16)
         with pytest.raises(IndexError):
-            dt_inverse_variation(traj, -1, 4)
+            dt_inverse_variation(batch, 0, -1, 4)
         with pytest.raises(ValueError, match="i <= s"):
-            theta(traj, 8, 3)
-        with pytest.raises(IndexError):
-            omega(traj, 16)
+            theta(batch, 0, 8, 3)
 
     def test_gram_derivative_split_boundaries(self):
-        traj = _traj("bounded_nonlinear_drift", 16, 4, [0.5])
-        bundle = malliavin_covariance(traj)
-        lower0, upper0 = dt_gamma_split(traj, bundle, 0)
+        batch = _path("bounded_nonlinear_drift", 16, 4, [0.5])
+        lower0, upper0 = dt_gamma_split(batch, 0, 0)
         assert np.all(lower0 == 0.0)
         assert np.any(upper0 != 0.0)
-        total = dt_gamma(traj, bundle, 3)
-        lo, up = dt_gamma_split(traj, bundle, 3)
+        total = dt_gamma(batch, 0, 3)
+        lo, up = dt_gamma_split(batch, 0, 3)
         npt.assert_allclose(total, lo + up, rtol=1e-14)
         # The Gram derivative inherits the symmetry of the Gram matrix.
         npt.assert_allclose(total[0], total[0].T, rtol=1e-12)
@@ -239,24 +191,22 @@ class TestNoiseDerivatives:
 )
 def test_factored_corrections_match_direct_formulas(name, x0):
     """The O(N) assembly must reproduce per-node evaluation of every term."""
-    traj = _traj(name, 16, 42, x0)
-    batch = traj.as_batch()
-    bundle = malliavin_covariance(traj)
-    bb = compute_bundle_batch(batch)
-    out = skorokhod_batch(batch, bb)
+    batch = _path(name, 16, 42, x0)
+    bundle = compute_bundle_batch(batch)
+    out = skorokhod_batch(batch, bundle)
 
-    N, dt = traj.grid.steps, traj.grid.dt
-    gi = bundle.gamma_inv
-    V = np.einsum("nij,njl->nil", traj.Yinv[:N], _left_sigma(traj))
+    N, dt = batch.grid.steps, batch.grid.dt
+    gi, F = bundle.gamma_inv[0], bundle.F[0]
+    V = np.einsum("nij,njl->nil", batch.Yinv[0, :N], _left_sigma(batch))
 
-    a_direct = np.zeros(traj.model.m)
-    b_direct = np.zeros(traj.model.m)
-    c_direct = np.zeros(traj.model.m)
+    a_direct = np.zeros(batch.model.m)
+    b_direct = np.zeros(batch.model.m)
+    c_direct = np.zeros(batch.model.m)
     for n in range(N):
-        Om = dt_first_variation(traj, n)
+        Om = dt_first_variation(batch, 0, n)
         a_direct += dt * np.einsum("jl,lpj,pk->k", V[n], Om, gi)
-        lower, upper = dt_gamma_split(traj, bundle, n)
-        u_all = np.einsum("jl,ja->al", V[n], bundle.F)
+        lower, upper = dt_gamma_split(batch, 0, n)
+        u_all = np.einsum("jl,ja->al", V[n], F)
         b_direct += dt * np.einsum("al,laq,qk->k", u_all, lower, gi)
         c_direct += dt * np.einsum("al,laq,qk->k", u_all, upper, gi)
 
@@ -287,9 +237,8 @@ class TestIntegralStructure:
         npt.assert_allclose(out["total"], out["ito"], rtol=0, atol=0)
 
     def test_drift_curvature_produces_corrections(self):
-        traj = _traj("bounded_nonlinear_drift", 32, 15, [0.5])
-        bb = compute_bundle_batch(traj.as_batch())
-        out = skorokhod_batch(traj.as_batch(), bb)
+        batch = _path("bounded_nonlinear_drift", 32, 15, [0.5])
+        out = skorokhod_batch(batch, compute_bundle_batch(batch))
         assert out["a"][0, 0] != 0.0
 
     def test_pruned_and_general_assembly_agree_when_noise_is_flat(self):
@@ -304,25 +253,18 @@ class TestIntegralStructure:
             npt.assert_array_equal(general[key], reduced[key])
 
     def test_single_path_breakdown_consistency(self):
-        traj = _traj("bounded_nonlinear_drift", 32, 17, [0.2])
-        bundle = malliavin_covariance(traj)
-        rep_g = skorokhod_integral_general(traj, bundle, 0)
-        rep_s = skorokhod_integral_state_independent(traj, bundle, 0)
-        assert rep_g.total == rep_s.total
-        assert rep_g.total == pytest.approx(
-            rep_g.ito - rep_g.a_term + rep_g.b_term + rep_g.c_term, rel=1e-12
-        )
-        assert rep_g.gamma_cond == bundle.cond
-        assert rep_g.k == 0
+        model = make_model("bounded_nonlinear_drift")
+        grid = TimeGrid(horizon=1.0, steps=32)
+        inc = sample_brownian_block(grid, 1, 17, 0, 8)
+        one = simulate_variation_batch(model, grid, inc, [0.2]).take([5])
+        bundle = compute_bundle_batch(one)
+        general = skorokhod_batch(one, bundle)
+        reduced = skorokhod_batch(one, bundle, prune=True)
+        assert general["total"][0, 0] == reduced["total"][0, 0]
+        ito, a, b, c = (general[key][0, 0] for key in ("ito", "a", "b", "c"))
+        assert general["total"][0, 0] == pytest.approx(ito - a + b + c, rel=1e-12)
 
     def test_reduced_assembly_refused_for_state_dependent_noise(self):
-        traj = _traj("state_dependent_tanh", 16, 18, [0.3])
-        bundle = malliavin_covariance(traj)
+        batch = _path("state_dependent_tanh", 16, 18, [0.3])
         with pytest.raises(ValueError, match="state-dependent"):
-            skorokhod_integral_state_independent(traj, bundle, 0)
-
-    def test_direction_index_validated(self):
-        traj = _traj("ornstein_uhlenbeck", 16, 19, [0.0])
-        bundle = malliavin_covariance(traj)
-        with pytest.raises(IndexError, match="direction"):
-            skorokhod_integral_general(traj, bundle, 1)
+            skorokhod_batch(batch, compute_bundle_batch(batch), prune=True)

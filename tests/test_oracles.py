@@ -14,24 +14,21 @@ import numpy.testing as npt
 import pytest
 
 from pathscore.estimator import silverman_bandwidth
-from pathscore.malliavin import (
-    dt_first_variation,
-    dt_inverse_variation,
-    malliavin_covariance,
-    malliavin_derivative_state,
-)
 from pathscore.models import make_model
 from pathscore.oracles import (
     FD_TARGETS,
     MassLeakageError,
+    dt_first_variation,
+    dt_gamma,
+    dt_inverse_variation,
     duality_report,
     fd_malliavin,
-    fd_malliavin_probes,
     fokker_planck_1d,
     kde_score,
+    malliavin_derivative_state,
     write_fp_csv,
 )
-from pathscore.paths import BrownianPath, TimeGrid, sample_brownian, simulate_variations
+from pathscore.paths import TimeGrid, sample_brownian_block, simulate_variation_batch
 
 GAMMA_UNIT_OU = (1.0 - math.exp(-2.0)) / 2.0
 
@@ -43,22 +40,21 @@ class TestBumpOracle:
     def test_input_validation(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=16)
-        w = sample_brownian(grid, 1, seed=0, path_index=0)
+        w = sample_brownian_block(grid, 1, 0, 0, 1)[0]
         with pytest.raises(ValueError, match="eps"):
-            fd_malliavin("state", model, grid, w, 3, 0, 0.0, [0.0])
+            fd_malliavin("state", model, grid, [(w, 3, 0)], 0.0, [0.0])
         with pytest.raises(ValueError, match="requires"):
-            fd_malliavin("invvar", model, grid, w, 3, 0, 1e-4, [0.0])
+            fd_malliavin("invvar", model, grid, [(w, 3, 0)], 1e-4, [0.0])
         with pytest.raises(IndexError, match="bump node"):
-            fd_malliavin("state", model, grid, w, 16, 0, 1e-4, [0.0])
+            fd_malliavin("state", model, grid, [(w, 16, 0)], 1e-4, [0.0])
         with pytest.raises(ValueError, match="unknown target"):
-            fd_malliavin("hessian", model, grid, w, 3, 0, 1e-4, [0.0])
+            fd_malliavin("hessian", model, grid, [(w, 3, 0)], 1e-4, [0.0])
 
     def test_blowup_refused(self):
         model = make_model("ornstein_uhlenbeck", {"theta": 600.0})
         grid = TimeGrid(horizon=1.0, steps=256)
-        w = sample_brownian(grid, 1, seed=0, path_index=0)
-        with pytest.raises(RuntimeError, match="blew up"):
-            fd_malliavin("state", model, grid, w, 10, 0, 1e-4, [1e300])
+        w = sample_brownian_block(grid, 1, 0, 0, 1)[0]
+        assert fd_malliavin("state", model, grid, [(w, 10, 0)], 1e-4, [1e300]) == [None]
 
     def test_state_bump_is_exact_for_linear_dynamics(self):
         # X_T is linear in every increment, so the centered difference equals
@@ -67,59 +63,54 @@ class TestBumpOracle:
         theta, sigma0 = 1.0, 0.8
         model = make_model("ornstein_uhlenbeck", {"theta": theta, "sigma0": sigma0})
         grid = TimeGrid(horizon=1.0, steps=128)
-        w = sample_brownian(grid, 1, seed=5, path_index=1)
-        traj = simulate_variations(model, grid, w, x0=[0.2])
-        for i in (0, 64, 127):
-            fd = fd_malliavin("state", model, grid, w, i, 0, 1e-3, [0.2])
+        inc = sample_brownian_block(grid, 1, 5, 1, 1)
+        batch = simulate_variation_batch(model, grid, inc, x0=[0.2])
+        nodes = (0, 64, 127)
+        fds = fd_malliavin("state", model, grid, [(inc[0], i, 0) for i in nodes], 1e-3, [0.2])
+        for i, fd in zip(nodes, fds):
             exact = sigma0 * (1.0 - theta * grid.dt) ** (grid.steps - 1 - i)
             npt.assert_allclose(fd[0], exact, rtol=1e-9)
-            table = malliavin_derivative_state(traj, i)[0, 0]
+            table = malliavin_derivative_state(batch, 0, i)[0, 0]
             assert abs(fd[0] - table) <= 2.5 * grid.dt
 
     def test_bump_matches_derivative_tables_on_nonlinear_drift(self):
         model = make_model("bounded_nonlinear_drift")
         grid = TimeGrid(horizon=1.0, steps=256)
-        w = sample_brownian(grid, 1, seed=41, path_index=3)
-        traj = simulate_variations(model, grid, w, x0=[0.3])
-        bundle = malliavin_covariance(traj)
+        inc = sample_brownian_block(grid, 1, 41, 3, 1)
+        batch = simulate_variation_batch(model, grid, inc, x0=[0.3])
         eps = 1e-4 * math.sqrt(grid.dt)
         i = 100
+        probe = [(inc[0], i, 0, 200)]
 
-        fd_y = fd_malliavin("firstvar", model, grid, w, i, 0, eps, [0.3])
-        ana_y = dt_first_variation(traj, i)
+        (fd_y,) = fd_malliavin("firstvar", model, grid, probe, eps, [0.3])
+        ana_y = dt_first_variation(batch, 0, i)
         assert abs(fd_y[0, 0] - ana_y[0, 0, 0]) <= 5e-2 * max(1.0, abs(ana_y[0, 0, 0]))
 
-        fd_yi = fd_malliavin("invvar", model, grid, w, i, 0, eps, [0.3], s=200)
-        ana_yi = dt_inverse_variation(traj, i, 200)
+        (fd_yi,) = fd_malliavin("invvar", model, grid, probe, eps, [0.3])
+        ana_yi = dt_inverse_variation(batch, 0, i, 200)
         assert abs(fd_yi[0, 0] - ana_yi[0, 0, 0]) <= 5e-2 * max(1.0, abs(ana_yi[0, 0, 0]))
 
-        from pathscore.malliavin import dt_gamma
-
-        fd_g = fd_malliavin("gamma", model, grid, w, i, 0, eps, [0.3])
-        ana_g = dt_gamma(traj, bundle, i)
+        (fd_g,) = fd_malliavin("gamma", model, grid, probe, eps, [0.3])
+        ana_g = dt_gamma(batch, 0, i)
         assert abs(fd_g[0, 0] - ana_g[0, 0, 0]) <= 5e-2 * max(1.0, abs(ana_g[0, 0, 0]))
 
     def test_probe_batch_matches_single_calls(self):
         model = make_model("state_dependent_tanh")
         grid = TimeGrid(horizon=1.0, steps=64)
-        probes = [
-            (sample_brownian(grid, 1, seed=9, path_index=p), i, 0)
-            for p, i in [(0, 5), (1, 30), (2, 63)]
-        ]
+        inc = sample_brownian_block(grid, 1, 9, 0, 3)
+        probes = [(inc[0], 5, 0), (inc[1], 30, 0), (inc[2], 63, 0)]
         eps = 1e-4 * math.sqrt(grid.dt)
-        got = fd_malliavin_probes("state", model, grid, probes, eps, [0.2])
-        for (w, i, l), row in zip(probes, got):
-            single = fd_malliavin("state", model, grid, w, i, l, eps, [0.2])
+        got = fd_malliavin("state", model, grid, probes, eps, [0.2])
+        for probe, row in zip(probes, got):
+            (single,) = fd_malliavin("state", model, grid, [probe], eps, [0.2])
             npt.assert_array_equal(row, single)
 
     def test_probe_batch_reports_blowups_as_none(self):
         model = make_model("ornstein_uhlenbeck", {"theta": 600.0})
         grid = TimeGrid(horizon=1.0, steps=256)
-        ok = sample_brownian(grid, 1, seed=2, path_index=0)
-        boom = BrownianPath(
-            increments=np.full((grid.steps, 1), 1e300), seed=0, path_index=0
-        )
-        got = fd_malliavin_probes("state", model, grid, [(ok, 3, 0), (boom, 3, 0)], 1e-4, [0.0])
+        ok = sample_brownian_block(grid, 1, 2, 0, 1)[0]
+        boom = np.full((grid.steps, 1), 1e300)
+        got = fd_malliavin("state", model, grid, [(ok, 3, 0), (boom, 3, 0)], 1e-4, [0.0])
         assert got[0] is not None and np.all(np.isfinite(got[0]))
         assert got[1] is None
 
@@ -250,7 +241,7 @@ class TestDualityReport:
 
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=32)
-        h = harvest_paths(model, grid, [0.0], 1000, seed=35, prune=True)
+        h = harvest_paths(model, grid, [0.0], 1000, seed=35)
         a = duality_report(model, grid, [0.0], 1000, seed=35)
         b = duality_report(model, grid, [0.0], 1000, seed=35, harvest=h)
         npt.assert_array_equal(a.matrix, b.matrix)
@@ -261,9 +252,3 @@ class TestDualityReport:
         grid = TimeGrid(horizon=1.0, steps=16)
         with pytest.raises(ValueError):
             duality_report(model, grid, [0.0], 50, seed=0)
-
-    def test_mode_mismatch_propagates(self):
-        model = make_model("state_dependent_tanh")
-        grid = TimeGrid(horizon=1.0, steps=16)
-        with pytest.raises(ValueError, match="state-independent"):
-            duality_report(model, grid, [0.5], 200, seed=0, mode="state_independent")

@@ -14,16 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathscore.malliavin import compute_bundle_batch, skorokhod_batch
 from pathscore.models import make_model
 from pathscore.paths import (
-    BrownianPath,
     TimeGrid,
     euler_state_batch,
-    perturb_increment,
-    sample_brownian,
     sample_brownian_block,
     simulate_variation_batch,
-    simulate_variations,
     trajectory_csv_header,
     write_trajectories_csv,
 )
@@ -74,15 +71,15 @@ class TestTimeGrid:
 class TestCounterBasedNoise:
     def test_regeneration_is_bit_identical(self):
         g = TimeGrid(horizon=1.0, steps=32)
-        a = sample_brownian(g, 2, seed=11, path_index=5)
-        b = sample_brownian(g, 2, seed=11, path_index=5)
-        assert np.array_equal(a.increments, b.increments)
+        a = sample_brownian_block(g, 2, seed=11, first_path=5, n_paths=1)
+        b = sample_brownian_block(g, 2, seed=11, first_path=5, n_paths=1)
+        assert np.array_equal(a, b)
 
     def test_distinct_paths_and_seeds_differ(self):
         g = TimeGrid(horizon=1.0, steps=32)
-        base = sample_brownian(g, 1, seed=11, path_index=5).increments
-        other_path = sample_brownian(g, 1, seed=11, path_index=6).increments
-        other_seed = sample_brownian(g, 1, seed=12, path_index=5).increments
+        base = sample_brownian_block(g, 1, seed=11, first_path=5, n_paths=1)
+        other_path = sample_brownian_block(g, 1, seed=11, first_path=6, n_paths=1)
+        other_seed = sample_brownian_block(g, 1, seed=12, first_path=5, n_paths=1)
         assert not np.array_equal(base, other_path)
         assert not np.array_equal(base, other_seed)
 
@@ -91,8 +88,8 @@ class TestCounterBasedNoise:
         block = sample_brownian_block(g, 2, seed=3, first_path=40, n_paths=6)
         assert block.shape == (6, 17, 2)
         for j in range(6):
-            single = sample_brownian(g, 2, seed=3, path_index=40 + j)
-            assert np.array_equal(block[j], single.increments)
+            single = sample_brownian_block(g, 2, seed=3, first_path=40 + j, n_paths=1)
+            assert np.array_equal(block[j], single[0])
 
     def test_increment_scale(self):
         # Var of one increment is dt; 4096 draws pin the sample variance loosely.
@@ -100,54 +97,6 @@ class TestCounterBasedNoise:
         block = sample_brownian_block(g, 1, seed=0, first_path=0, n_paths=64)
         v = block.ravel().var()
         assert abs(v - g.dt) < 5 * g.dt / np.sqrt(block.size / 2)
-
-
-class TestPerturbIncrement:
-    def test_adds_eps_and_preserves_original(self):
-        g = TimeGrid(horizon=1.0, steps=8)
-        p = sample_brownian(g, 2, seed=1, path_index=0)
-        before = p.increments.copy()
-        q = perturb_increment(p, 3, 1, 0.25)
-        assert np.array_equal(p.increments, before)
-        assert q.increments[3, 1] == before[3, 1] + 0.25
-        mask = np.ones_like(before, dtype=bool)
-        mask[3, 1] = False
-        assert np.array_equal(q.increments[mask], before[mask])
-
-    def test_rejects_out_of_range_indices(self):
-        g = TimeGrid(horizon=1.0, steps=8)
-        p = sample_brownian(g, 2, seed=1, path_index=0)
-        with pytest.raises(IndexError, match="step index"):
-            perturb_increment(p, 8, 0, 0.1)
-        with pytest.raises(IndexError, match="channel index"):
-            perturb_increment(p, 0, 2, 0.1)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=7),
-        st.integers(min_value=0, max_value=7),
-        st.floats(min_value=-10, max_value=10, allow_nan=False),
-        st.floats(min_value=-10, max_value=10, allow_nan=False),
-    )
-    def test_perturbations_at_distinct_steps_commute(self, i1, i2, e1, e2):
-        if i1 == i2:
-            return
-        g = TimeGrid(horizon=1.0, steps=8)
-        p = sample_brownian(g, 1, seed=4, path_index=2)
-        a = perturb_increment(perturb_increment(p, i1, 0, e1), i2, 0, e2)
-        b = perturb_increment(perturb_increment(p, i2, 0, e2), i1, 0, e1)
-        assert np.array_equal(a.increments, b.increments)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=7),
-        st.floats(min_value=1e-8, max_value=10, allow_nan=False),
-    )
-    def test_perturbation_roundtrip_is_tiny(self, i, eps):
-        g = TimeGrid(horizon=1.0, steps=8)
-        p = sample_brownian(g, 1, seed=4, path_index=2)
-        q = perturb_increment(perturb_increment(p, i, 0, eps), i, 0, -eps)
-        npt.assert_allclose(q.increments, p.increments, atol=1e-12)
 
 
 def _mean_reverting_recursion(N: int, dt: float, factor_sign: float) -> float:
@@ -221,29 +170,6 @@ class TestVariationProcesses:
         dev = np.abs(prod - np.eye(1)).max()
         assert dev < 0.05
 
-    def test_reinvert_every_resets_product_to_identity(self):
-        model = make_model("state_dependent_tanh")
-        g = TimeGrid(horizon=1.0, steps=64)
-        inc = sample_brownian_block(g, 1, seed=13, first_path=0, n_paths=2)
-        batch = simulate_variation_batch(model, g, inc, x0=[0.1], reinvert_every=1)
-        prod = np.einsum("bnij,bnjk->bnik", batch.Y, batch.Yinv)
-        npt.assert_allclose(prod, np.broadcast_to(np.eye(1), prod.shape), atol=1e-12)
-
-    def test_single_path_wrapper_matches_batch(self):
-        model = make_model("linear_multidim")
-        g = TimeGrid(horizon=1.0, steps=32)
-        p = sample_brownian(g, 2, seed=2, path_index=7)
-        single = simulate_variations(model, g, p, x0=[0.1, -0.2])
-        batch = simulate_variation_batch(model, g, p.increments[None], x0=[0.1, -0.2])
-        assert np.array_equal(single.X, batch.X[0])
-        assert np.array_equal(single.Y, batch.Y[0])
-        assert np.array_equal(single.Yinv, batch.Yinv[0])
-        assert np.array_equal(single.Z, batch.Z[0])
-        assert single.valid
-        rebuilt = single.as_batch()
-        assert rebuilt.n_paths == 1
-        assert np.array_equal(rebuilt.X, batch.X)
-
     def test_blowup_is_flagged_not_raised(self):
         # Step factor |1 - theta*dt| > 1 makes the scheme explode; starting
         # one path near the float ceiling overflows it within a few steps
@@ -314,15 +240,34 @@ def test_noise_purity_across_grid_sizes(path_index, steps):
     # are a prefix of a longer grid's draws scaled by the dt ratio.
     g1 = TimeGrid(horizon=1.0, steps=steps)
     g2 = TimeGrid(horizon=1.0, steps=steps + 5)
-    a = sample_brownian(g1, 1, seed=77, path_index=path_index).increments
-    b = sample_brownian(g2, 1, seed=77, path_index=path_index).increments
+    a = sample_brownian_block(g1, 1, seed=77, first_path=path_index, n_paths=1)[0]
+    b = sample_brownian_block(g2, 1, seed=77, first_path=path_index, n_paths=1)[0]
     ratio = np.sqrt(g1.dt / g2.dt)
     npt.assert_allclose(a, b[:steps] * ratio, rtol=1e-12)
 
 
-def test_brownian_path_accessors():
-    g = TimeGrid(horizon=1.0, steps=12)
-    p = sample_brownian(g, 3, seed=0, path_index=1)
-    assert isinstance(p, BrownianPath)
-    assert p.steps == 12 and p.d == 3
-    assert p.seed == 0 and p.path_index == 1
+@pytest.mark.parametrize(
+    "name,x0", [("state_dependent_tanh", [0.2]), ("linear_multidim", [0.1, -0.2])]
+)
+def test_single_paths_are_row_slices_of_a_batch(name, x0):
+    # A path simulated, bundled and integrated inside a 64-path block is
+    # bit-for-bit the same as that path run through the pipeline alone.
+    model = make_model(name)
+    g = TimeGrid(horizon=1.0, steps=32)
+    inc = sample_brownian_block(g, model.d, seed=2, first_path=0, n_paths=64)
+    block = simulate_variation_batch(model, g, inc, x0=x0)
+    block_bundle = compute_bundle_batch(block)
+    block_out = skorokhod_batch(block, block_bundle)
+    for p in (0, 3, 63):
+        one_inc = sample_brownian_block(g, model.d, seed=2, first_path=p, n_paths=1)
+        assert np.array_equal(one_inc[0], inc[p])
+        one = simulate_variation_batch(model, g, one_inc, x0=x0)
+        sliced = block.take([p])
+        for field in ("X", "Y", "Yinv", "Z", "dB", "valid"):
+            assert np.array_equal(getattr(sliced, field), getattr(one, field)), field
+        one_bundle = compute_bundle_batch(one)
+        assert np.array_equal(block_bundle.gamma[p], one_bundle.gamma[0])
+        assert np.array_equal(block_bundle.F[p], one_bundle.F[0])
+        one_out = skorokhod_batch(one, one_bundle)
+        for key in ("ito", "a", "b", "c", "total"):
+            assert np.array_equal(block_out[key][p], one_out[key][0]), key
