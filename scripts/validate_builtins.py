@@ -1,6 +1,5 @@
-"""Run the full validation suite (derivative checks, inverse-propagation
-drift, covering condition, reduced-form equivalence, bump probes, duality)
-on every builtin model.
+"""Run the full validation suite (derivative checks, covering condition,
+reduced-form equivalence, bump probes, duality) on every builtin model.
 
 Usage: python scripts/validate_builtins.py [--paths 10000] [--workers 1]
 """

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,7 +45,7 @@ def chunk_size(m: int) -> int:
 
 @dataclass
 class PathHarvest:
-    """Raw per-path quantities collected over all chunks."""
+    """Raw per-path quantities of one chunk, or of all chunks merged."""
 
     X_t: np.ndarray  # (n, m) state at the evaluation node
     ito: np.ndarray
@@ -63,25 +63,20 @@ class PathHarvest:
         return int(np.sum(~self.valid))
 
 
-def _harvest_chunk(model, grid, x0, seed, lo, hi):
+def _harvest_chunk(model, grid, x0, seed, lo, hi) -> PathHarvest:
     inc = sample_brownian_block(grid, model.d, seed, lo, hi - lo)
     batch = simulate_variation_batch(model, grid, inc, x0)
     bundle = compute_bundle_batch(batch)
     # The diffusion-derivative terms are exact zeros for state-independent
     # diffusion, so skipping them there leaves every bit unchanged.
     out = skorokhod_batch(batch, bundle, prune=model.state_independent_diffusion)
-    valid = batch.valid & ~bundle.singular
-    return (
-        batch.X[:, -1],
-        out["ito"],
-        out["a"],
-        out["b"],
-        out["c"],
-        out["total"],
-        valid,
-        bundle.cond,
-        int(np.sum(~batch.valid)),
-        int(np.sum(batch.valid & bundle.singular)),
+    return PathHarvest(
+        X_t=batch.X[:, -1],
+        **out,
+        valid=batch.valid & ~bundle.singular,
+        cond=bundle.cond,
+        n_sim_invalid=int(np.sum(~batch.valid)),
+        n_singular=int(np.sum(batch.valid & bundle.singular)),
     )
 
 
@@ -124,19 +119,12 @@ def harvest_paths(
     else:
         results = [_harvest_chunk(*state, lo, hi) for lo, hi in chunks]
 
-    cat = [np.concatenate([r[j] for r in results], axis=0) for j in range(8)]
-    return PathHarvest(
-        X_t=cat[0],
-        ito=cat[1],
-        a=cat[2],
-        b=cat[3],
-        c=cat[4],
-        total=cat[5],
-        valid=cat[6],
-        cond=cat[7],
-        n_sim_invalid=sum(r[8] for r in results),
-        n_singular=sum(r[9] for r in results),
-    )
+    # Per-path arrays concatenate in chunk order; counts add up.
+    merged = {}
+    for f in fields(PathHarvest):
+        vals = [getattr(r, f.name) for r in results]
+        merged[f.name] = np.concatenate(vals) if isinstance(vals[0], np.ndarray) else sum(vals)
+    return PathHarvest(**merged)
 
 
 def silverman_bandwidth(X: np.ndarray) -> np.ndarray:

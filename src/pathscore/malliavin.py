@@ -39,16 +39,18 @@ COND_LIMIT = 1e8
 class BundleBatch:
     """Per-path sensitivity tables for a trajectory block.
 
-    dX_table has shape (B, N+1, m, d); row i is W_i (row N uses sigma at the
-    horizon). F has shape (B, m, m) with columns F[:, k]. Paths whose gamma
-    is near-singular (condition number >= COND_LIMIT) or non-finite are
-    flagged in ``singular`` and their inverse entries are unusable.
+    V and W have shape (B, N, m, d): row i is V_i = Yinv_i sigma_i and
+    W_i = Y_N V_i at the left node i. F has shape (B, m, m) with columns
+    F[:, k]. Paths whose gamma is near-singular (condition number >=
+    COND_LIMIT) or non-finite are flagged in ``singular`` and their inverse
+    entries are unusable.
     """
 
     gamma: np.ndarray
     gamma_inv: np.ndarray
     cond: np.ndarray
-    dX_table: np.ndarray
+    V: np.ndarray
+    W: np.ndarray
     F: np.ndarray
     singular: np.ndarray
 
@@ -63,18 +65,14 @@ def _left_eval(batch: TrajectoryBatch, what: str) -> np.ndarray:
 
 def compute_bundle_batch(batch: TrajectoryBatch) -> BundleBatch:
     """Sensitivity tables, Gram matrix and its inverse for a block of paths."""
-    model, grid = batch.model, batch.grid
-    N, m, dt = grid.steps, model.m, grid.dt
+    grid = batch.grid
+    N, m, dt = grid.steps, batch.model.m, grid.dt
     YN = batch.Y[:, N]
 
     sig_left = _left_eval(batch, "sigma")
     V = np.einsum("bnij,bnjl->bnil", batch.Yinv[:, :N], sig_left)
     W = np.einsum("bij,bnjl->bnil", YN, V)
     gamma = dt * np.einsum("bnil,bnjl->bij", W, W)
-
-    sig_T = model.sigma(grid.horizon, batch.X[:, N])
-    w_last = np.einsum("bij,bjk,bkl->bil", YN, batch.Yinv[:, N], sig_T)
-    dX_table = np.concatenate([W, w_last[:, None]], axis=1)
 
     finite = np.all(np.isfinite(gamma), axis=(1, 2)) & batch.valid
     cond = np.full(batch.n_paths, np.inf)
@@ -92,7 +90,8 @@ def compute_bundle_batch(batch: TrajectoryBatch) -> BundleBatch:
         gamma=gamma,
         gamma_inv=gamma_inv,
         cond=cond,
-        dX_table=dX_table,
+        V=V,
+        W=W,
         F=F,
         singular=singular,
     )
@@ -105,17 +104,14 @@ def _correction_arrays(batch: TrajectoryBatch, bundle: BundleBatch, prune: bool 
     state-independent models they are exact zeros, so pruned and unpruned
     assemblies agree bitwise.
 
-    Keys: V, W (B,N,m,d); Om, M (B,N,d,m,m); G, Glow, Gup (B,N,m,m);
-    Hup (B,N,m,m,m); Eup (B,N,m,m,m,m).
+    Keys: Om, M (B,N,d,m,m); Glow, Gup (B,N,m,m); Hup (B,N,m,m,m);
+    Eup (B,N,m,m,m,m).
     """
-    model, grid = batch.model, batch.grid
+    grid = batch.grid
     N, dt = grid.steps, grid.dt
     Yl, Yinvl, Zl = batch.Y[:, :N], batch.Yinv[:, :N], batch.Z[:, :N]
     YN, ZN = batch.Y[:, N], batch.Z[:, N]
-
-    sig_left = _left_eval(batch, "sigma")
-    V = np.einsum("bnij,bnjl->bnil", Yinvl, sig_left)
-    W = bundle.dX_table[:, :N]
+    V, W = bundle.V, bundle.W
 
     # Omega: channel-l derivative of Y_N through node n.
     Zv_N = np.einsum("bipq,bnql->bnlip", ZN, V)
@@ -148,7 +144,7 @@ def _correction_arrays(batch: TrajectoryBatch, bundle: BundleBatch, prune: bool 
     Ec = np.cumsum(E, axis=1) * dt
     Eup = Ec[:, N - 1 : N] - (Ec - E * dt)
 
-    return {"V": V, "W": W, "Om": Om, "M": M, "Glow": Glow, "Gup": Gup, "Hup": Hup, "Eup": Eup}
+    return {"Om": Om, "M": M, "Glow": Glow, "Gup": Gup, "Hup": Hup, "Eup": Eup}
 
 
 def skorokhod_batch(batch: TrajectoryBatch, bundle: BundleBatch, prune: bool = False) -> dict:
@@ -172,7 +168,7 @@ def skorokhod_batch(batch: TrajectoryBatch, bundle: BundleBatch, prune: bool = F
     # masked below; silence the arithmetic warnings they would trigger.
     with np.errstate(invalid="ignore", over="ignore"):
         parts = _correction_arrays(batch, bundle, prune=prune)
-        V, Om, M = parts["V"], parts["Om"], parts["M"]
+        V, Om, M = bundle.V, parts["Om"], parts["M"]
 
         v_ito = np.einsum("bnil,bnl->bi", V, batch.dB)
         ito = np.einsum("bik,bi->bk", F, v_ito)

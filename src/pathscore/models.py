@@ -19,14 +19,10 @@ Evaluators are pure functions of (t, x) and broadcast over the batch axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-
-class DomainError(ValueError):
-    """Raised when a model is evaluated at a non-finite state."""
 
 
 @dataclass(frozen=True)
@@ -44,35 +40,6 @@ class SdeModel:
     d2b: Callable
     d2sigma: Callable
     state_independent_diffusion: bool = False
-
-
-@dataclass(frozen=True)
-class ModelEval:
-    """All six coefficient arrays evaluated at one (t, x)."""
-
-    b: np.ndarray
-    sigma: np.ndarray
-    db: np.ndarray
-    dsigma: np.ndarray
-    d2b: np.ndarray
-    d2sigma: np.ndarray
-
-
-def evaluate_model(model: SdeModel, t, x) -> ModelEval:
-    """Evaluate every coefficient at (t, x), rejecting non-finite states."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.m:
-        raise DomainError(f"state has dim {x.shape[-1]}, model '{model.name}' has m={model.m}")
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(t)):
-        raise DomainError("model evaluated at a non-finite state or time")
-    return ModelEval(
-        b=model.b(t, x),
-        sigma=model.sigma(t, x),
-        db=model.db(t, x),
-        dsigma=model.dsigma(t, x),
-        d2b=model.d2b(t, x),
-        d2sigma=model.d2sigma(t, x),
-    )
 
 
 def _bcast(const: np.ndarray, x: np.ndarray, trailing: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .estimator import PathHarvest, harvest_paths, silverman_bandwidth
-from .malliavin import _left_eval, compute_bundle_batch
+from .malliavin import compute_bundle_batch
 from .models import SdeModel
 from .paths import TimeGrid, TrajectoryBatch, simulate_variation_batch
 
@@ -36,12 +36,6 @@ def _node_coeff(batch: TrajectoryBatch, p: int, i: int, what: str) -> np.ndarray
     return getattr(batch.model, what)(t, batch.X[p, i])
 
 
-def _path_bundle(batch: TrajectoryBatch, p: int):
-    """Path p on its own and its sensitivity bundle."""
-    one = batch.take([p])
-    return one, compute_bundle_batch(one)
-
-
 def malliavin_derivative_state(batch: TrajectoryBatch, p: int, i: int) -> np.ndarray:
     """Sensitivity of X_T to the noise at node i: Y_N Yinv_i sigma(t_i, X_i)."""
     N = batch.grid.steps
@@ -52,15 +46,11 @@ def malliavin_derivative_state(batch: TrajectoryBatch, p: int, i: int) -> np.nda
 
 def covering_inner_product(batch: TrajectoryBatch, p: int, i_comp: int, k: int) -> float:
     """Left-point quadrature of <W^{i_comp}, u_k> on path p; equals delta_{i_comp,k}."""
-    one, bundle = _path_bundle(batch, p)
+    bundle = compute_bundle_batch(batch.take([p]))
     if bundle.singular[0]:
         raise ValueError("bundle is near-singular; covering field undefined")
-    N = batch.grid.steps
-    sig_left = _left_eval(one, "sigma")[0]
-    V = np.einsum("nij,njl->nil", one.Yinv[0, :N], sig_left)
-    u = np.einsum("j,njl->nl", bundle.F[0][:, k], V)
-    W = bundle.dX_table[0, :N]
-    return float(batch.grid.dt * np.einsum("nl,nl->", W[:, i_comp, :], u))
+    u = np.einsum("j,njl->nl", bundle.F[0][:, k], bundle.V[0])
+    return float(batch.grid.dt * np.einsum("nl,nl->", bundle.W[0, :, i_comp, :], u))
 
 
 def _dt_first_variation_to(batch: TrajectoryBatch, p: int, i: int, s: int) -> np.ndarray:
@@ -141,10 +131,8 @@ def dt_gamma_split(batch: TrajectoryBatch, p: int, i: int) -> tuple[np.ndarray, 
     if not 0 <= i < N:
         raise IndexError(f"node {i} outside [0, {N})")
     m, d = batch.model.m, batch.model.d
-    one, bundle = _path_bundle(batch, p)
-    W = bundle.dX_table[0, :N]
-    sig_left = _left_eval(one, "sigma")[0]
-    V = np.einsum("nij,njl->nil", one.Yinv[0, :N], sig_left)
+    bundle = compute_bundle_batch(batch.take([p]))
+    V, W = bundle.V[0], bundle.W[0]
     Om = dt_first_variation(batch, p, i)
     YN = batch.Y[p, N]
 
@@ -338,7 +326,8 @@ def fokker_planck_1d(
     clipped to zero.
 
     store_stride = 0 stores only the first and final densities; k stores
-    every k-th step.
+    every k-th step. The coefficients are frozen at t = 0, so a model whose
+    b or sigma on the mesh differs between t = 0 and t = horizon is refused.
     """
     if model.m != 1:
         raise ValueError("the density solver is one-dimensional")
@@ -349,7 +338,16 @@ def fokker_planck_1d(
     dt = horizon / n_steps
 
     bvec = model.b(0.0, x[:, None])[:, 0]
-    avec = 0.5 * model.sigma(0.0, x[:, None])[:, 0, 0] ** 2
+    sig0 = model.sigma(0.0, x[:, None])[:, 0, 0]
+    if not (
+        np.array_equal(bvec, model.b(horizon, x[:, None])[:, 0])
+        and np.array_equal(sig0, model.sigma(horizon, x[:, None])[:, 0, 0])
+    ):
+        raise ValueError(
+            f"model '{model.name}' has time-dependent coefficients; "
+            "the density solver freezes them at t=0"
+        )
+    avec = 0.5 * sig0**2
 
     # Row j of the generator acting on p (interior nodes only):
     #   lower: b_{j-1}/(2dx) + a_{j-1}/dx^2

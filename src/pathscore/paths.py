@@ -5,12 +5,10 @@ with shared increments:
 
   X_t    state                                  (m,)
   Y_t    first variation dX_t/dx0               (m, m)   Y_0 = I
-  Yinv_t inverse first variation, own SDE       (m, m)   Yinv_0 = I
   Z_t    second variation d^2X_t/dx0^2          (m, m, m) Z[i, p, q], Z_0 = 0
 
-Yinv is *propagated*, not inverted, via
-  dYinv = Yinv (-db + sum_l dsigma_l^2) dt - sum_l Yinv dsigma_l dB^l,
-so Y_t Yinv_t - I carries an O(dt) drift that downstream checks monitor.
+The inverse first variation Yinv_t = Y_t^{-1} is not simulated: it is
+computed from Y once the Euler loop is done, so Y_t Yinv_t = I to rounding.
 
 Everything is vectorized over a leading batch-of-paths axis, and a single
 path is a row slice of a batch (TrajectoryBatch.take). Noise is
@@ -131,12 +129,13 @@ def simulate_variation_batch(
     increments: np.ndarray,
     x0,
 ) -> TrajectoryBatch:
-    """Propagate (X, Y, Yinv, Z) for a block of paths sharing a grid.
+    """Propagate (X, Y, Z) for a block of paths sharing a grid, then invert Y.
 
-    ``increments`` has shape (B, steps, d). Yinv is never re-inverted: the
-    drift of Y Yinv is a monitored quantity.
+    ``increments`` has shape (B, steps, d). Yinv is the matrix inverse of Y
+    at every node (the reciprocal when m = 1).
 
-    Paths that leave the finite domain are flagged invalid, never raised.
+    Paths that leave the finite domain or whose Y turns singular are flagged
+    invalid, never raised.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 3 or inc.shape[1] != grid.steps or inc.shape[2] != model.d:
@@ -147,18 +146,16 @@ def simulate_variation_batch(
 
     X = np.empty((B, N + 1, m))
     Y = np.empty((B, N + 1, m, m))
-    Yinv = np.empty((B, N + 1, m, m))
     Z = np.empty((B, N + 1, m, m, m))
     X[:, 0] = x0
     Y[:, 0] = np.eye(m)
-    Yinv[:, 0] = np.eye(m)
     Z[:, 0] = 0.0
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(N):
             t = n * dt
             x = X[:, n]
-            y, yi, z = Y[:, n], Yinv[:, n], Z[:, n]
+            y, z = Y[:, n], Z[:, n]
             dW = inc[:, n]
 
             b = model.b(t, x)
@@ -174,13 +171,6 @@ def simulate_variation_batch(
             dsY = np.einsum("blij,bjk->blik", dsig, y)
             Y[:, n + 1] = y + dbY * dt + np.einsum("blik,bl->bik", dsY, dW)
 
-            # dYinv = Yinv(-db + sum_l dsigma_l^2) dt - sum_l Yinv dsigma_l dB^l
-            drift_inv = -np.einsum("bij,bjk->bik", yi, db) + np.einsum(
-                "bij,bljr,blrk->bik", yi, dsig, dsig
-            )
-            yids = np.einsum("bij,bljk->blik", yi, dsig)
-            Yinv[:, n + 1] = yi + drift_inv * dt - np.einsum("blik,bl->bik", yids, dW)
-
             # dZ[i,j,k]: Hessian of the flow; both drift and noise have a
             # curvature term d2(coeff):(Y x Y) plus a linear transport term.
             zdrift = np.einsum("bipq,bpj,bqk->bijk", d2b, y, y) + np.einsum(
@@ -190,6 +180,18 @@ def simulate_variation_batch(
                 "blir,brjk->blijk", dsig, z
             )
             Z[:, n + 1] = z + zdrift * dt + np.einsum("blijk,bl->bijk", znoise, dW)
+
+        if m == 1:
+            Yinv = 1.0 / Y
+        else:
+            # inv raises on a singular matrix, so invert only the finite Y
+            # with a finite nonzero determinant; the rest stay nan and flag
+            # their path invalid below.
+            Yinv = np.full_like(Y, np.nan)
+            ok = np.all(np.isfinite(Y), axis=(2, 3))
+            det = np.linalg.det(Y[ok])
+            ok[ok] = np.isfinite(det) & (det != 0.0)
+            Yinv[ok] = np.linalg.inv(Y[ok])
 
     valid = (
         np.all(np.isfinite(X), axis=(1, 2))

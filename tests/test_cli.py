@@ -225,7 +225,6 @@ validate:
         assert rc == 0
         for check in (
             "coefficient-derivatives",
-            "inverse-propagation-drift",
             "covering-condition",
             "corollary-equivalence",
             "bump-probes",

@@ -46,7 +46,7 @@ def _ou_pure_python(dt, inc, theta_, sigma0, x0):
     for n in range(N):
         X.append(X[-1] + (-theta_ * X[-1]) * dt + sigma0 * inc[n])
         Y.append(Y[-1] + (-theta_ * Y[-1]) * dt)
-        Yi.append(Yi[-1] + (theta_ * Yi[-1]) * dt)
+        Yi.append(1.0 / Y[-1])
     V = [Yi[n] * sigma0 for n in range(N)]
     W = [Y[N] * v for v in V]
     gamma = dt * sum(w * w for w in W)
@@ -72,9 +72,10 @@ class TestBundle:
         batch = _path("state_dependent_tanh", 32, 5, [0.2])
         bundle = compute_bundle_batch(batch)
         N = batch.grid.steps
-        for i in (0, 7, N):
+        assert bundle.W.shape == (1, N, 1, 1)
+        for i in (0, 7, N - 1):
             npt.assert_allclose(
-                bundle.dX_table[0, i], malliavin_derivative_state(batch, 0, i), rtol=1e-14
+                bundle.W[0, i], malliavin_derivative_state(batch, 0, i), rtol=1e-14
             )
         with pytest.raises(IndexError, match="node"):
             malliavin_derivative_state(batch, 0, N + 1)

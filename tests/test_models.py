@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from pathscore.models import (
     BUILTIN_MODELS,
-    DomainError,
     SdeModel,
     check_derivatives,
     divergence_sigma_sigma_T,
-    evaluate_model,
     make_model,
 )
 
@@ -151,20 +149,6 @@ class TestDivergence:
         th = np.tanh(0.3)
         expected = 2 * 1.5 * (1 + 0.5 * th) * 1.5 * 0.5 * (1 - th**2)
         npt.assert_allclose(divergence_sigma_sigma_T(m, 0.0, x), [[expected]], rtol=1e-12)
-
-
-class TestEvaluateModel:
-    def test_shapes_and_finiteness(self):
-        m = make_model("linear_multidim")
-        ev = evaluate_model(m, 0.25, np.array([0.1, -0.2]))
-        assert ev.b.shape == (2,)
-        assert ev.sigma.shape == (2, 2)
-        assert ev.d2sigma.shape == (2, 2, 2, 2)
-
-    def test_rejects_nonfinite_state(self):
-        m = make_model("ornstein_uhlenbeck")
-        with pytest.raises(DomainError, match="finite"):
-            evaluate_model(m, 0.0, np.array([np.nan]))
 
 
 @settings(max_examples=25, deadline=None)

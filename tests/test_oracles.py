@@ -14,7 +14,7 @@ import numpy.testing as npt
 import pytest
 
 from pathscore.estimator import silverman_bandwidth
-from pathscore.models import make_model
+from pathscore.models import SdeModel, make_model
 from pathscore.oracles import (
     FD_TARGETS,
     MassLeakageError,
@@ -192,6 +192,24 @@ class TestDensitySolver:
             fokker_planck_1d(make_model("linear_multidim"), 0.0, 1.0, -5.0, 5.0)
         with pytest.raises(ValueError, match="outside mesh"):
             fokker_planck_1d(make_model("ornstein_uhlenbeck"), 7.0, 1.0, -5.0, 5.0)
+
+    def test_time_dependent_coefficients_refused(self):
+        ou = make_model("ornstein_uhlenbeck")
+        model = SdeModel(
+            name="ou_speeding_up",
+            m=1,
+            d=1,
+            params={},
+            b=lambda t, x: -(1.0 + t) * x,
+            sigma=ou.sigma,
+            db=lambda t, x: np.broadcast_to(-(1.0 + t), x.shape + (1,)),
+            dsigma=ou.dsigma,
+            d2b=ou.d2b,
+            d2sigma=ou.d2sigma,
+            state_independent_diffusion=True,
+        )
+        with pytest.raises(ValueError, match="ou_speeding_up.*time-dependent"):
+            fokker_planck_1d(model, 0.0, 1.0, -5.0, 5.0, n_cells=100, n_steps=100)
 
     def test_csv_dump_schema(self):
         model = make_model("ornstein_uhlenbeck")

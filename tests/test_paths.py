@@ -7,6 +7,7 @@ with state-dependent coefficients.
 """
 
 import io
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -123,13 +124,15 @@ class TestVariationProcesses:
         npt.assert_allclose(want, (1.0 - g.dt) ** 256, rtol=1e-13)
 
     def test_mean_reverting_inverse_variation_compounds_up(self):
-        model = make_model("ornstein_uhlenbeck")
+        # Yinv is the reciprocal of the deterministic Y = (1 - theta dt)^n.
+        model = make_model("ornstein_uhlenbeck", {"theta": 1.5})
         g = TimeGrid(horizon=1.0, steps=128)
         inc = sample_brownian_block(g, 1, seed=9, first_path=0, n_paths=1)
         batch = simulate_variation_batch(model, g, inc, x0=[0.0])
-        want = _mean_reverting_recursion(128, g.dt, 1.0)
+        want = 1.0 / _mean_reverting_recursion(128, g.dt, -1.5)
         assert batch.Yinv[0, -1, 0, 0] == want
-        npt.assert_allclose(want, (1.0 + g.dt) ** 128, rtol=1e-13)
+        n = np.arange(129)
+        npt.assert_allclose(batch.Yinv[0, :, 0, 0], (1.0 - 1.5 * g.dt) ** -n, rtol=1e-13)
 
     @pytest.mark.parametrize("name", ["ornstein_uhlenbeck", "linear_multidim"])
     def test_second_variation_vanishes_for_affine_sensitivities(self, name):
@@ -168,7 +171,40 @@ class TestVariationProcesses:
         batch = simulate_variation_batch(model, g, inc, x0=[0.1])
         prod = np.einsum("bnij,bnjk->bnik", batch.Y, batch.Yinv)
         dev = np.abs(prod - np.eye(1)).max()
-        assert dev < 0.05
+        assert dev < 1e-12
+
+    def test_inverse_variation_is_the_inverse_of_Y(self):
+        g = TimeGrid(horizon=1.0, steps=64)
+        for name, x0 in (
+            ("ornstein_uhlenbeck", [0.3]),
+            ("bounded_nonlinear_drift", [0.5]),
+            ("state_dependent_tanh", [0.2]),
+            ("linear_multidim", [0.3, -0.2]),
+        ):
+            model = make_model(name)
+            inc = sample_brownian_block(g, model.d, seed=17, first_path=0, n_paths=8)
+            batch = simulate_variation_batch(model, g, inc, x0=x0)
+            assert np.all(batch.valid), name
+            npt.assert_allclose(batch.Yinv, np.linalg.inv(batch.Y), rtol=0, atol=1e-12)
+
+        # An overflowing scalar path and a 2-D model whose first Euler step
+        # maps onto a singular Y are both flagged, with no error or warning.
+        ou = make_model("ornstein_uhlenbeck", {"theta": 600.0})
+        g = TimeGrid(horizon=1.0, steps=256)
+        inc = sample_brownian_block(g, 1, seed=1, first_path=0, n_paths=2)
+        flat = make_model("linear_multidim", {"A": [[-4.0, 0.0], [0.0, -1.0]]})
+        g4 = TimeGrid(horizon=1.0, steps=4)
+        inc2 = sample_brownian_block(g4, 2, seed=1, first_path=0, n_paths=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blown = simulate_variation_batch(ou, g, inc, x0=np.array([[1e308], [0.0]]))
+            singular = simulate_variation_batch(flat, g4, inc2, x0=[0.1, 0.2])
+        assert blown.valid.tolist() == [False, True]
+        assert np.all(np.isfinite(blown.Yinv[1]))
+        assert singular.n_invalid == 3
+        assert np.all(singular.Y[:, 1, 0, 0] == 0.0)
+        assert np.all(np.isnan(singular.Yinv[:, 1:]))
+        npt.assert_array_equal(singular.Yinv[:, 0], np.broadcast_to(np.eye(2), (3, 2, 2)))
 
     def test_blowup_is_flagged_not_raised(self):
         # Step factor |1 - theta*dt| > 1 makes the scheme explode; starting
