@@ -33,7 +33,6 @@ def main() -> None:
         args.paths,
         args.seed,
         workers=args.workers,
-        return_harvest=True,
     )
     sol = fokker_planck_1d(model, 0.0, 1.0, -6.0, 6.0)
     samples = harvest.X_t[harvest.valid]

@@ -14,6 +14,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -107,7 +108,6 @@ def cmd_score(cfg: RunConfig, out_dir: str, workers: int) -> int:
                 bandwidth=cfg.bandwidth,
                 workers=workers,
                 knn=cfg.knn,
-                return_harvest=True,
             )
             _timing(f"score node {node}", t0)
             fname = f"score_n{node:04d}.csv"
@@ -122,16 +122,21 @@ def cmd_score(cfg: RunConfig, out_dir: str, workers: int) -> int:
             )
             if linear:
                 summary.write("  analytic comparison (k=1..m):\n")
+                ana = analytic_score_linear(model, t, x0, points)
                 for q in range(points.shape[0]):
-                    ana = analytic_score_linear(model, t, x0, points[q])
                     ys = ",".join(repr(float(v)) for v in points[q])
                     for k in range(model.m):
-                        dev = abs(float(table.scores[q, k]) - float(ana[k]))
+                        dev = abs(float(table.scores[q, k]) - float(ana[q, k]))
                         summary.write(
                             f"    y=({ys}) k={k + 1} est={float(table.scores[q, k])!r} "
-                            f"analytic={float(ana[k])!r} |dev|={dev!r} "
+                            f"analytic={float(ana[q, k])!r} |dev|={dev!r} "
                             f"3SE={3 * float(table.stderr[q, k])!r}\n"
                         )
+                finite = np.isfinite(table.scores) & np.isfinite(table.stderr)
+                beyond = np.abs(table.scores - ana)[finite] > 3 * table.stderr[finite]
+                summary.write(
+                    f"    beyond 3 SE: {int(beyond.sum())} of {int(finite.sum())} finite entries\n"
+                )
             if cfg.dump_breakdown:
                 bname = f"breakdown_n{node:04d}.csv"
                 with open(os.path.join(out_dir, bname), "w") as fh:
@@ -282,8 +287,10 @@ def _validate_checks(cfg: RunConfig, workers: int):
     )
 
     if model.state_independent_diffusion:
-        res_g = skorokhod_batch(batch, bundle, prune=False)
-        res_c = skorokhod_batch(batch, bundle, prune=True)
+        # The same batch under a cleared flag runs the general assembly.
+        general = replace(batch, model=replace(model, state_independent_diffusion=False))
+        res_g = skorokhod_batch(general, bundle)
+        res_c = skorokhod_batch(batch, bundle)
         dev = np.abs(res_g["total"][usable] - res_c["total"][usable])
         lim = 1e-12 * np.maximum(1.0, np.abs(res_g["total"][usable]))
         yield (

@@ -67,9 +67,7 @@ def _harvest_chunk(model, grid, x0, seed, lo, hi) -> PathHarvest:
     inc = sample_brownian_block(grid, model.d, seed, lo, hi - lo)
     batch = simulate_variation_batch(model, grid, inc, x0)
     bundle = compute_bundle_batch(batch)
-    # The diffusion-derivative terms are exact zeros for state-independent
-    # diffusion, so skipping them there leaves every bit unchanged.
-    out = skorokhod_batch(batch, bundle, prune=model.state_independent_diffusion)
+    out = skorokhod_batch(batch, bundle)
     return PathHarvest(
         X_t=batch.X[:, -1],
         **out,
@@ -95,7 +93,6 @@ def harvest_paths(
     n_paths: int,
     seed: int,
     workers: int = 1,
-    first_path: int = 0,
 ) -> PathHarvest:
     """Simulate n_paths and collect terminal states plus integral breakdowns.
 
@@ -104,8 +101,7 @@ def harvest_paths(
     index order, so the result is bit-identical to the serial run.
     """
     ch = chunk_size(model.m)
-    end = first_path + n_paths
-    chunks = [(lo, min(end, lo + ch)) for lo in range(first_path, end, ch)]
+    chunks = [(lo, min(n_paths, lo + ch)) for lo in range(0, n_paths, ch)]
     state = (model, grid, np.asarray(x0, dtype=float), seed)
     global _FORK_STATE
     if workers > 1 and len(chunks) > 1:
@@ -208,13 +204,12 @@ def estimate_score(
     bandwidth="auto",
     workers: int = 1,
     knn: int | None = None,
-    return_harvest: bool = False,
-):
+) -> tuple[ScoreTable, PathHarvest]:
     """Monte Carlo score estimate at time t on the given evaluation points.
 
     t must lie on the grid (strictly after the first node); the simulation
-    runs on the truncated subgrid [0, t]. Returns a ScoreTable, optionally
-    together with the raw per-path harvest.
+    runs on the truncated subgrid [0, t]. Returns the ScoreTable together
+    with the raw per-path harvest it was regressed from.
     """
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
@@ -264,7 +259,7 @@ def estimate_score(
         n_paths=n_paths,
         excluded=harvest.n_excluded,
     )
-    return (table, harvest) if return_harvest else table
+    return table, harvest
 
 
 def score_table_header(m: int) -> str:
@@ -449,14 +444,11 @@ def reverse_time_sample(
     n_samples: int,
     seed: int,
     x0,
-    terminal=None,
 ) -> np.ndarray:
     """Integrate the score-driven reverse-time dynamics from T down to 0.
 
     Terminal states come from a fresh forward Euler run (noise streams offset
-    from the score-estimation paths); ``terminal`` overrides them with a fixed
-    starting state, which turns the zero-drift/zero-score case into a plain
-    Brownian motion (useful as a plumbing check). Stepping toward zero:
+    from the score-estimation paths). Stepping toward zero:
 
       X_{t-dt} = X_t + [b - div(sigma sigma^T) + sigma . s(t, X_t)] dt
                  + sigma sqrt(dt) xi
@@ -468,15 +460,8 @@ def reverse_time_sample(
     out = np.empty((n_samples, model.m))
     for lo in range(0, n_samples, ch):
         hi = min(n_samples, lo + ch)
-        if terminal is None:
-            fwd = sample_brownian_block(
-                grid, model.d, seed, REVERSE_TERMINAL_OFFSET + lo, hi - lo
-            )
-            x = euler_state_batch(model, grid, fwd, x0)
-        else:
-            x = np.broadcast_to(
-                np.asarray(terminal, dtype=float), (hi - lo, model.m)
-            ).copy()
+        fwd = sample_brownian_block(grid, model.d, seed, REVERSE_TERMINAL_OFFSET + lo, hi - lo)
+        x = euler_state_batch(model, grid, fwd, x0)
         bwd = sample_brownian_block(grid, model.d, seed, REVERSE_BACKWARD_OFFSET + lo, hi - lo)
         for k in range(grid.steps, 0, -1):
             t = k * dt

@@ -97,12 +97,12 @@ def compute_bundle_batch(batch: TrajectoryBatch) -> BundleBatch:
     )
 
 
-def _correction_arrays(batch: TrajectoryBatch, bundle: BundleBatch, prune: bool = False) -> dict:
+def _correction_arrays(batch: TrajectoryBatch, bundle: BundleBatch) -> dict:
     """Shared O(N)-per-path arrays for the correction terms.
 
-    With ``prune`` the diffusion-derivative terms are skipped entirely; for
-    state-independent models they are exact zeros, so pruned and unpruned
-    assemblies agree bitwise.
+    For a model flagged ``state_independent_diffusion`` the
+    diffusion-derivative terms are exact zeros and are skipped, which leaves
+    every bit unchanged.
 
     Keys: Om, M (B,N,d,m,m); Glow, Gup (B,N,m,m); Hup (B,N,m,m,m);
     Eup (B,N,m,m,m,m).
@@ -119,12 +119,13 @@ def _correction_arrays(batch: TrajectoryBatch, bundle: BundleBatch, prune: bool 
     YNYinv = np.einsum("bij,bnjr->bnir", YN, Yinvl)
     Om = Zv_N - np.einsum("bnir,bnlrp->bnlip", YNYinv, Zv_t)
     M = np.einsum("bnij,bnjpq,bnql->bnlip", Yinvl, Zl, V)
-    T = -np.einsum("bnij,bnjpq,bnpc->bnicq", Yinvl, Zl, V)
-    if not prune:
+    if not batch.model.state_independent_diffusion:
         dsig_left = _left_eval(batch, "dsigma")
         Om = Om + np.einsum("bnir,bnlrs,bnsp->bnlip", YNYinv, dsig_left, Yl)
         M = M - np.einsum("bnij,bnljk,bnkq->bnliq", Yinvl, dsig_left, Yl)
-        T = T + np.einsum("bnij,bncjk,bnkq->bnicq", Yinvl, dsig_left, Yl)
+    # Z is symmetric in its last two indices (a Hessian), so the response
+    # kernel T[i, c, q] is -M[c, i, q].
+    T = -np.swapaxes(M, 2, 3)
 
     # Two-time kernels factor into (s-local) x (t-local) pieces; accumulate
     # the s-sums once. G_s = V_s W_s^T; H carries the Z_s/dsigma_s response;
@@ -147,18 +148,14 @@ def _correction_arrays(batch: TrajectoryBatch, bundle: BundleBatch, prune: bool 
     return {"Om": Om, "M": M, "Glow": Glow, "Gup": Gup, "Hup": Hup, "Eup": Eup}
 
 
-def skorokhod_batch(batch: TrajectoryBatch, bundle: BundleBatch, prune: bool = False) -> dict:
+def skorokhod_batch(batch: TrajectoryBatch, bundle: BundleBatch) -> dict:
     """Anticipating integrals for all covering directions on a path block.
 
     Returns arrays of shape (B, m): ito, a, b, c, total with
     total = ito - a + b + c. Entries for singular/invalid paths are nan.
-    ``prune`` skips the diffusion-derivative terms, which vanish only for
-    state-independent diffusion; other models refuse it.
+    The diffusion-derivative terms are skipped exactly when the model is
+    flagged ``state_independent_diffusion``.
     """
-    if prune and not batch.model.state_independent_diffusion:
-        raise ValueError(
-            f"model '{batch.model.name}' has state-dependent diffusion; use the general form"
-        )
     grid = batch.grid
     N, dt = grid.steps, grid.dt
     gi = bundle.gamma_inv
@@ -167,7 +164,7 @@ def skorokhod_batch(batch: TrajectoryBatch, bundle: BundleBatch, prune: bool = F
     # Invalid/singular paths carry nan or inf through the einsums and are
     # masked below; silence the arithmetic warnings they would trigger.
     with np.errstate(invalid="ignore", over="ignore"):
-        parts = _correction_arrays(batch, bundle, prune=prune)
+        parts = _correction_arrays(batch, bundle)
         V, Om, M = bundle.V, parts["Om"], parts["M"]
 
         v_ito = np.einsum("bnil,bnl->bi", V, batch.dB)

@@ -221,24 +221,19 @@ class DerivativeReport:
         return not self.flagged
 
 
-def check_derivatives(
-    model: SdeModel,
-    n_points: int = 100,
-    seed: int = 0,
-    step: float = 1e-5,
-    span: float = 2.0,
-    tol: float = 1e-4,
-) -> DerivativeReport:
-    """Compare analytic derivatives against central differences at random states.
+def check_derivatives(model: SdeModel, seed: int = 0) -> DerivativeReport:
+    """Compare analytic derivatives against central differences at 100 random states.
 
     db and dsigma are differenced from b and sigma; d2b and d2sigma are
     differenced from the analytic db and dsigma (second differences of the
     raw coefficients would lose too many digits at step 1e-5). Relative
     error uses max(1, |analytic|, |fd|) in the denominator. Entries whose
-    max relative error exceeds ``tol`` are flagged, never raised.
+    max relative error exceeds 1e-4 are flagged, never raised. States are
+    drawn from [-2, 2]^m.
     """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    x = rng.uniform(-span, span, size=(n_points, model.m))
+    n_points, step, tol = 100, 1e-5, 1e-4
+    x = rng.uniform(-2.0, 2.0, size=(n_points, model.m))
     t = rng.uniform(0.0, 1.0, size=(n_points,))
     m = model.m
 

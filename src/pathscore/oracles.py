@@ -18,12 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .estimator import PathHarvest, harvest_paths, silverman_bandwidth
+from .estimator import harvest_paths, silverman_bandwidth
 from .malliavin import compute_bundle_batch
 from .models import SdeModel
 from .paths import TimeGrid, TrajectoryBatch, simulate_variation_batch
 
 FD_TARGETS = ("state", "firstvar", "invvar", "gamma")
+# A kernel or PDE density this small gives no usable log-gradient.
+DENSITY_FLOOR = 1e-12
+# Largest drift of total probability mass the density solver tolerates.
+MASS_TOL = 1e-3
 
 
 # Direct per-node formulas. Each reads path p of a batch and evaluates one
@@ -220,13 +224,13 @@ class KdeScoreResult:
     reliable: bool
 
 
-def kde_score(samples: np.ndarray, y, bandwidth="auto", density_floor: float = 1e-12) -> KdeScoreResult:
+def kde_score(samples: np.ndarray, y, bandwidth="auto") -> KdeScoreResult:
     """Score estimate from samples alone: gradient of log of a Gaussian KDE.
 
     For a product kernel, grad log p_hat(y) = (weighted mean of x - y) / h^2
     with kernel weights centered at y. Standard errors use the delta method
     on the weighted ratio. Flagged unreliable when the KDE mass at y is
-    below ``density_floor``.
+    below DENSITY_FLOOR.
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim == 1:
@@ -252,7 +256,7 @@ def kde_score(samples: np.ndarray, y, bandwidth="auto", density_floor: float = 1
     resid = w[:, None] * (g - ratio)
     stderr = np.sqrt(np.sum(resid * resid, axis=0)) / den
     return KdeScoreResult(
-        score=ratio, stderr=stderr, density=float(density), reliable=bool(density >= density_floor)
+        score=ratio, stderr=stderr, density=float(density), reliable=bool(density >= DENSITY_FLOOR)
     )
 
 
@@ -272,17 +276,14 @@ class FokkerPlanckSolution:
     p: np.ndarray
     mass: np.ndarray
 
-    def density(self, row: int = -1) -> np.ndarray:
-        return self.p[row]
-
-    def score(self, row: int = -1, density_floor: float = 1e-12) -> np.ndarray:
-        """Central-difference d/dx log p at a stored time; nan where p is tiny."""
+    def score(self, row: int = -1) -> np.ndarray:
+        """Central-difference d/dx log p at a stored time; nan where p <= DENSITY_FLOOR."""
         p = self.p[row]
         dx = self.x[1] - self.x[0]
         out = np.full_like(p, np.nan)
         interior = slice(1, -1)
         pi = p[interior]
-        good = pi > density_floor
+        good = pi > DENSITY_FLOOR
         grad = (p[2:] - p[:-2]) / (2.0 * dx)
         vals = np.full(pi.shape, np.nan)
         vals[good] = grad[good] / pi[good]
@@ -295,15 +296,6 @@ class FokkerPlanckSolution:
         return np.interp(np.asarray(y, dtype=float), self.x[ok], s[ok])
 
 
-def write_fp_csv(fh, sol: FokkerPlanckSolution, rows=(-1,)) -> None:
-    fh.write("t,x,p,score\n")
-    for row in rows:
-        s = sol.score(row)
-        t = float(sol.times[row])
-        for j in range(sol.x.size):
-            fh.write(f"{t!r},{float(sol.x[j])!r},{float(sol.p[row, j])!r},{float(s[j])!r}\n")
-
-
 def fokker_planck_1d(
     model: SdeModel,
     x0: float,
@@ -312,16 +304,14 @@ def fokker_planck_1d(
     x_max: float,
     n_cells: int = 2400,
     n_steps: int = 2000,
-    init_width: float | None = None,
-    mass_tol: float = 1e-3,
     store_stride: int = 0,
 ) -> FokkerPlanckSolution:
     """Crank-Nicolson solve of dp/dt = -(b p)' + ((sigma^2/2) p)'' for m = 1.
 
-    The initial condition is a narrow Gaussian (width = mesh spacing unless
-    overridden). The first steps use implicit Euler to damp the oscillations
+    The initial condition is a narrow Gaussian as wide as the mesh spacing.
+    The first steps use implicit Euler to damp the oscillations
     Crank-Nicolson produces from near-delta data. Dirichlet zero boundaries;
-    if total mass drifts from 1 by more than mass_tol the solve aborts, which
+    if total mass drifts from 1 by more than MASS_TOL the solve aborts, which
     is the signal to widen the mesh. Negative undershoots above -1e-12 are
     clipped to zero.
 
@@ -357,8 +347,7 @@ def fokker_planck_1d(
     diag = -2.0 * avec[1:-1] / dx**2
     upper = -bvec[2:] / (2 * dx) + avec[2:] / dx**2
 
-    w = init_width if init_width is not None else dx
-    p = np.exp(-0.5 * ((x - x0) / w) ** 2)
+    p = np.exp(-0.5 * ((x - x0) / dx) ** 2)
     p /= np.trapezoid(p, x)
     p[0] = p[-1] = 0.0
 
@@ -396,10 +385,10 @@ def fokker_planck_1d(
         p_new[neg & (p_new >= -1e-12)] = 0.0
         p = p_new
         mval = float(np.trapezoid(p, x))
-        if abs(mval - 1.0) > mass_tol:
+        if abs(mval - 1.0) > MASS_TOL:
             raise MassLeakageError(
                 f"mass {mval:.6f} at t={t:.4f} (step {step + 1}) deviates from 1 by more "
-                f"than {mass_tol}; widen the mesh [{x_min}, {x_max}] or refine the grid"
+                f"than {MASS_TOL}; widen the mesh [{x_min}, {x_max}] or refine the grid"
             )
         mass.append(mval)
         if store_stride and (step + 1) % store_stride == 0 and step + 1 != n_steps:
@@ -434,7 +423,6 @@ def duality_report(
     n_paths: int,
     seed: int,
     workers: int = 1,
-    harvest: PathHarvest | None = None,
     flip_b_term: bool = False,
 ) -> DualityReport:
     """Estimate the duality matrix and its distance from the identity in SEs.
@@ -444,8 +432,7 @@ def duality_report(
     negative control for the validation pipeline and must push the check
     beyond 3 SEs.
     """
-    if harvest is None:
-        harvest = harvest_paths(model, grid, x0, n_paths, seed, workers=workers)
+    harvest = harvest_paths(model, grid, x0, n_paths, seed, workers=workers)
     ok = harvest.valid
     n_ok = int(ok.sum())
     if n_ok < 100:

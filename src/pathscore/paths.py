@@ -46,11 +46,11 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
-    def node_index(self, t: float, tol: float = 1e-9) -> int:
-        """Map a time to its grid node, rejecting off-grid times."""
+    def node_index(self, t: float) -> int:
+        """Map a time to its grid node; one more than 1e-9 * max(1, horizon) off is refused."""
         i = int(round(t / self.dt))
         i = min(max(i, 0), self.steps)
-        if abs(t - i * self.dt) > tol * max(1.0, self.horizon):
+        if abs(t - i * self.dt) > 1e-9 * max(1.0, self.horizon):
             raise ValueError(
                 f"t={t} is not a grid node (nearest node is t={i * self.dt} at index {i})"
             )
@@ -105,10 +105,6 @@ class TrajectoryBatch:
     @property
     def n_paths(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def n_invalid(self) -> int:
-        return int(np.sum(~self.valid))
 
     def take(self, idx) -> "TrajectoryBatch":
         """The paths selected by ``idx`` (index list, slice or mask) as a batch."""

@@ -8,6 +8,7 @@ clock on a single worker.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ def test_a1_linear_sde_score_exactness(announce):
     sg = math.sqrt(gamma)
     pts = np.array([0.0, sg, -sg, 2.0 * sg, -2.0 * sg])
     t0 = time.perf_counter()
-    tab = estimate_score(model, GRID_256, [0.0], 1.0, pts, n_paths=100_000, seed=SEED)
+    tab, _ = estimate_score(model, GRID_256, [0.0], 1.0, pts, n_paths=100_000, seed=SEED)
     elapsed = time.perf_counter() - t0
     exact = -pts / gamma
     dev = np.abs(tab.scores[:, 0] - exact)
@@ -222,8 +223,9 @@ def test_a5_corollary_equals_theorem(announce):
         inc = sample_brownian_block(GRID_256, model.d, SEED, 0, 200)
         batch = simulate_variation_batch(model, GRID_256, inc, x0)
         bundle = compute_bundle_batch(batch)
-        general = skorokhod_batch(batch, bundle, prune=False)["total"]
-        corollary = skorokhod_batch(batch, bundle, prune=True)["total"]
+        flag_cleared = replace(batch, model=replace(model, state_independent_diffusion=False))
+        general = skorokhod_batch(flag_cleared, bundle)["total"]
+        corollary = skorokhod_batch(batch, bundle)["total"]
         usable = batch.valid & ~bundle.singular
         dev = np.abs(general - corollary)[usable]
         bound = (1e-12 * np.maximum(1.0, np.abs(general)))[usable]
@@ -233,23 +235,17 @@ def test_a5_corollary_equals_theorem(announce):
     announce(
         "A5 corollary matches general formula",
         ok,
-        f"worst |general - pruned| at {worst:.2e} of the 1e-12 allowance",
+        f"worst |general - reduced| at {worst:.2e} of the 1e-12 allowance",
     )
     assert ok
 
 
 def test_a6_nonlinear_end_to_end_score(announce):
     model = make_model("bounded_nonlinear_drift")
-    _, probe = estimate_score(
-        model, GRID_256, [0.0], 1.0, np.array([0.0]), n_paths=2000, seed=1,
-        return_harvest=True,
-    )
+    _, probe = estimate_score(model, GRID_256, [0.0], 1.0, np.array([0.0]), n_paths=2000, seed=1)
     std_T = float(probe.X_t[probe.valid].std())
     ygrid = np.linspace(-2.0 * std_T, 2.0 * std_T, 21)
-    tab, harvest = estimate_score(
-        model, GRID_256, [0.0], 1.0, ygrid, n_paths=100_000, seed=SEED,
-        return_harvest=True,
-    )
+    tab, harvest = estimate_score(model, GRID_256, [0.0], 1.0, ygrid, n_paths=100_000, seed=SEED)
     assert not tab.flagged.any()
 
     pde = fokker_planck_1d(model, 0.0, 1.0, -6.0, 6.0)

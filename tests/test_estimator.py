@@ -29,7 +29,7 @@ from pathscore.estimator import (
     write_score_csv,
 )
 from pathscore.models import make_model
-from pathscore.paths import TimeGrid, sample_brownian_block, simulate_variation_batch
+from pathscore.paths import TimeGrid
 
 OU_SCORE_AT_HALF = -1.1565176427496657  # -(0.5 - 0) / ((1 - e^{-2}) / 2)
 
@@ -101,14 +101,6 @@ class TestHarvest:
         assert a.n_sim_invalid == b.n_sim_invalid
         assert a.n_singular == b.n_singular
 
-    def test_first_path_offset_reproduces_single_draws(self):
-        model = make_model("ornstein_uhlenbeck")
-        grid = TimeGrid(horizon=1.0, steps=16)
-        h = harvest_paths(model, grid, [0.3], 4, seed=9, first_path=7)
-        inc = sample_brownian_block(grid, 1, seed=9, first_path=7, n_paths=1)
-        batch = simulate_variation_batch(model, grid, inc, x0=[0.3])
-        assert h.X_t[0, 0] == batch.X[0, -1, 0]
-
     def test_breakdown_identity_and_linear_shortcut(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=32)
@@ -138,7 +130,7 @@ class TestEstimateScore:
     def test_linear_reference_value(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=256)
-        table = estimate_score(model, grid, [0.0], 1.0, [[0.5]], 20000, seed=101)
+        table, _ = estimate_score(model, grid, [0.0], 1.0, [[0.5]], 20000, seed=101)
         got = table.scores[0, 0]
         se = table.stderr[0, 0]
         assert abs(got - OU_SCORE_AT_HALF) < max(4 * se, 0.03)
@@ -149,8 +141,8 @@ class TestEstimateScore:
     def test_stderr_shrinks_with_more_paths(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=64)
-        small = estimate_score(model, grid, [0.0], 1.0, [[0.0]], 2000, seed=7, bandwidth=0.25)
-        big = estimate_score(model, grid, [0.0], 1.0, [[0.0]], 8000, seed=7, bandwidth=0.25)
+        small, _ = estimate_score(model, grid, [0.0], 1.0, [[0.0]], 2000, seed=7, bandwidth=0.25)
+        big, _ = estimate_score(model, grid, [0.0], 1.0, [[0.0]], 8000, seed=7, bandwidth=0.25)
         ratio = small.stderr[0, 0] / big.stderr[0, 0]
         assert 1.6 < ratio < 2.4  # 4x paths -> roughly half the error
 
@@ -158,8 +150,8 @@ class TestEstimateScore:
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=64)
         pts = [[-0.5], [0.0], [0.5]]
-        wide = estimate_score(model, grid, [0.0], 1.0, pts, 5000, seed=7, bandwidth=0.3)
-        narrow = estimate_score(model, grid, [0.0], 1.0, pts, 5000, seed=7, bandwidth=0.15)
+        wide, _ = estimate_score(model, grid, [0.0], 1.0, pts, 5000, seed=7, bandwidth=0.3)
+        narrow, _ = estimate_score(model, grid, [0.0], 1.0, pts, 5000, seed=7, bandwidth=0.15)
         assert np.all(narrow.n_eff < wide.n_eff)
         # For linear dynamics the integral is a function of the endpoint, so
         # the kernel residuals scale with the window and the pointwise error
@@ -192,7 +184,7 @@ class TestEstimateScore:
     def test_nearest_neighbor_window(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=64)
-        table = estimate_score(model, grid, [0.0], 1.0, [[0.0]], 3000, seed=8, knn=200)
+        table, _ = estimate_score(model, grid, [0.0], 1.0, [[0.0]], 3000, seed=8, knn=200)
         assert table.knn == 200
         assert np.all(table.n_eff == 200.0)
         assert abs(table.scores[0, 0]) < 0.2  # score at the mean is zero
@@ -200,7 +192,7 @@ class TestEstimateScore:
     def test_tail_points_flagged_not_extrapolated(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=64)
-        table = estimate_score(
+        table, _ = estimate_score(
             model, grid, [0.0], 1.0, [[0.0], [40.0]], 2000, seed=3, bandwidth=0.2
         )
         assert not table.flagged[0]
@@ -210,9 +202,7 @@ class TestEstimateScore:
     def test_harvest_return_is_consistent(self):
         model = make_model("bounded_nonlinear_drift")
         grid = TimeGrid(horizon=1.0, steps=32)
-        table, harvest = estimate_score(
-            model, grid, [0.0], 1.0, [[0.0]], 500, seed=2, return_harvest=True
-        )
+        table, harvest = estimate_score(model, grid, [0.0], 1.0, [[0.0]], 500, seed=2)
         assert harvest.X_t.shape == (500, 1)
         assert table.excluded == harvest.n_excluded
 
@@ -385,17 +375,16 @@ class TestTableProvider:
 
 class TestReverseSampler:
     def test_zero_drift_zero_score_gives_brownian_spread(self):
-        # With no drift and a zero score the reverse dynamics are a Brownian
-        # motion started at the fixed terminal point.
+        # With no drift and a zero score the forward run to T and the reverse
+        # run back to 0 are two independent Brownian motions from x0, so the
+        # samples spread with variance 2 sigma0^2 T.
         model = make_model("ornstein_uhlenbeck", {"theta": 0.0, "sigma0": 1.0})
         grid = TimeGrid(horizon=1.0, steps=32)
-        out = reverse_time_sample(
-            model, _ZeroScore(), grid, 4000, seed=55, x0=[0.0], terminal=[0.0]
-        )
+        out = reverse_time_sample(model, _ZeroScore(), grid, 4000, seed=55, x0=[0.0])
         assert out.shape == (4000, 1)
         var = out.var()
-        assert abs(var - 1.0) < 0.11  # 5 sigma for the chi^2 spread of 4000 draws
-        assert abs(out.mean()) < 5.0 / math.sqrt(4000)
+        assert abs(var - 2.0) < 0.22  # 5 sigma for the chi^2 spread of 4000 draws
+        assert abs(out.mean()) < 5.0 * math.sqrt(2.0 / 4000)
 
     def test_linear_reverse_collapses_to_start(self):
         model = make_model("ornstein_uhlenbeck")
@@ -426,7 +415,7 @@ class TestReverseSampler:
         pts = np.linspace(-6.0, 6.0, 61)[:, None]
         tables = {}
         for node in range(1, 9):
-            tables[node] = estimate_score(
+            tables[node], _ = estimate_score(
                 model, grid, [0.0], node * grid.dt, pts, 2000, seed=60 + node, knn=100
             )
         provider = TableScoreProvider(tables, grid)

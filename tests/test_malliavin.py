@@ -7,12 +7,14 @@ that they agree to near machine precision, and that on an exactly solvable
 linear model the whole pipeline reduces to a short pure-python recursion.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from pathscore.malliavin import _correction_arrays, compute_bundle_batch, skorokhod_batch
-from pathscore.models import make_model
+from pathscore.models import SdeModel, check_derivatives, make_model
 from pathscore.oracles import (
     covering_inner_product,
     dt_first_variation,
@@ -25,12 +27,61 @@ from pathscore.oracles import (
 from pathscore.paths import TimeGrid, sample_brownian_block, simulate_variation_batch
 
 
+def _sheared_tanh_2d():
+    """m = d = 2 with Z != 0 and dsigma != 0 together.
+
+    Drift A x + beta (sin x_2, 0) and diffusion Sigma (1 + alpha tanh x_1),
+    with A and Sigma the linear_multidim defaults.
+    """
+    beta, alpha = 0.5, 0.3
+    params = make_model("linear_multidim").params
+    A, Sig = np.array(params["A"]), np.array(params["Sigma"])
+
+    def b(t, x):
+        out = np.einsum("ij,...j->...i", A, x)
+        out[..., 0] += beta * np.sin(x[..., 1])
+        return out
+
+    def db(t, x):
+        out = np.broadcast_to(A, x.shape[:-1] + (2, 2)).copy()
+        out[..., 0, 1] += beta * np.cos(x[..., 1])
+        return out
+
+    def d2b(t, x):
+        out = np.zeros(x.shape[:-1] + (2, 2, 2))
+        out[..., 0, 1, 1] = -beta * np.sin(x[..., 1])
+        return out
+
+    def sigma(t, x):
+        return (1.0 + alpha * np.tanh(x[..., 0]))[..., None, None] * Sig
+
+    # dsigma[l, i, j] and d2sigma[l, i, p, q] act through x_1 only.
+    def dsigma(t, x):
+        th = np.tanh(x[..., 0])
+        out = np.zeros(x.shape[:-1] + (2, 2, 2))
+        out[..., 0] = (alpha * (1.0 - th * th))[..., None, None] * Sig.T
+        return out
+
+    def d2sigma(t, x):
+        th = np.tanh(x[..., 0])
+        out = np.zeros(x.shape[:-1] + (2, 2, 2, 2))
+        out[..., 0, 0] = (-2.0 * alpha * th * (1.0 - th * th))[..., None, None] * Sig.T
+        return out
+
+    return SdeModel("sheared_tanh_2d", 2, 2, {}, b, sigma, db, dsigma, d2b, d2sigma)
+
+
 def _path(name, steps, seed, x0, params=None, path_index=0):
     """One simulated path, as a batch of one."""
-    model = make_model(name, params)
+    model = _sheared_tanh_2d() if name == "sheared_tanh_2d" else make_model(name, params)
     grid = TimeGrid(horizon=1.0, steps=steps)
     inc = sample_brownian_block(grid, model.d, seed, path_index, 1)
     return simulate_variation_batch(model, grid, inc, x0=x0)
+
+
+def _flag_cleared(batch):
+    """The same paths under a model that asks for the general assembly."""
+    return replace(batch, model=replace(batch.model, state_independent_diffusion=False))
 
 
 def _left_sigma(batch):
@@ -188,11 +239,18 @@ class TestNoiseDerivatives:
 
 @pytest.mark.parametrize(
     "name,x0",
-    [("bounded_nonlinear_drift", [0.5]), ("state_dependent_tanh", [0.3])],
+    [
+        ("bounded_nonlinear_drift", [0.5]),
+        ("state_dependent_tanh", [0.3]),
+        # The only case with m = 2, Z != 0 and dsigma != 0 at once, so the
+        # only one that tells the index order of the (d, m, m) kernels apart.
+        ("sheared_tanh_2d", [0.3, -0.2]),
+    ],
 )
 def test_factored_corrections_match_direct_formulas(name, x0):
     """The O(N) assembly must reproduce per-node evaluation of every term."""
     batch = _path(name, 16, 42, x0)
+    assert check_derivatives(batch.model).ok
     bundle = compute_bundle_batch(batch)
     out = skorokhod_batch(batch, bundle)
 
@@ -248,8 +306,8 @@ class TestIntegralStructure:
         inc = sample_brownian_block(grid, 1, seed=16, first_path=0, n_paths=16)
         batch = simulate_variation_batch(model, grid, inc, x0=[0.0])
         bb = compute_bundle_batch(batch)
-        general = skorokhod_batch(batch, bb, prune=False)
-        reduced = skorokhod_batch(batch, bb, prune=True)
+        general = skorokhod_batch(_flag_cleared(batch), bb)
+        reduced = skorokhod_batch(batch, bb)
         for key in ("ito", "a", "b", "c", "total"):
             npt.assert_array_equal(general[key], reduced[key])
 
@@ -259,13 +317,27 @@ class TestIntegralStructure:
         inc = sample_brownian_block(grid, 1, 17, 0, 8)
         one = simulate_variation_batch(model, grid, inc, [0.2]).take([5])
         bundle = compute_bundle_batch(one)
-        general = skorokhod_batch(one, bundle)
-        reduced = skorokhod_batch(one, bundle, prune=True)
+        general = skorokhod_batch(_flag_cleared(one), bundle)
+        reduced = skorokhod_batch(one, bundle)
         assert general["total"][0, 0] == reduced["total"][0, 0]
         ito, a, b, c = (general[key][0, 0] for key in ("ito", "a", "b", "c"))
         assert general["total"][0, 0] == pytest.approx(ito - a + b + c, rel=1e-12)
 
-    def test_reduced_assembly_refused_for_state_dependent_noise(self):
-        batch = _path("state_dependent_tanh", 16, 18, [0.3])
-        with pytest.raises(ValueError, match="state-dependent"):
-            skorokhod_batch(batch, compute_bundle_batch(batch), prune=True)
+    def test_flag_decides_whether_dsigma_is_evaluated(self):
+        # Skipping the dsigma terms keeps every bit on a state-independent
+        # model, so only the call count shows whether the shortcut is taken.
+        def dsigma_calls(batch):
+            calls = []
+
+            def counted(t, x):
+                calls.append(1)
+                return batch.model.dsigma(t, x)
+
+            probe = replace(batch, model=replace(batch.model, dsigma=counted))
+            skorokhod_batch(probe, compute_bundle_batch(batch))
+            return len(calls)
+
+        ou = _path("ornstein_uhlenbeck", 16, 18, [0.3])
+        assert dsigma_calls(ou) == 0
+        assert dsigma_calls(_flag_cleared(ou)) >= 1
+        assert dsigma_calls(_path("state_dependent_tanh", 16, 18, [0.3])) >= 1

@@ -6,7 +6,6 @@ sample-based kernel density scores.  Each oracle is itself pinned here
 against exactly solvable cases before being trusted elsewhere.
 """
 
-import io
 import math
 
 import numpy as np
@@ -26,7 +25,6 @@ from pathscore.oracles import (
     fokker_planck_1d,
     kde_score,
     malliavin_derivative_state,
-    write_fp_csv,
 )
 from pathscore.paths import TimeGrid, sample_brownian_block, simulate_variation_batch
 
@@ -154,7 +152,7 @@ class TestDensitySolver:
         model = make_model("ornstein_uhlenbeck")
         sol = fokker_planck_1d(model, 0.0, 1.0, -5.0, 5.0, n_cells=1200, n_steps=800)
         exact = np.exp(-sol.x**2 / (2 * GAMMA_UNIT_OU)) / math.sqrt(2 * math.pi * GAMMA_UNIT_OU)
-        assert np.abs(sol.density() - exact).max() < 1e-4
+        assert np.abs(sol.p[-1] - exact).max() < 1e-4
         mask = np.abs(sol.x) <= 2.0
         score_exact = -sol.x / GAMMA_UNIT_OU
         assert np.nanmax(np.abs(sol.score()[mask] - score_exact[mask])) < 2e-3
@@ -165,7 +163,7 @@ class TestDensitySolver:
         model = make_model("ornstein_uhlenbeck", {"theta": 0.0, "sigma0": 1.0})
         sol = fokker_planck_1d(model, 0.3, 1.0, -6.0, 6.0, n_cells=1200, n_steps=800)
         exact = np.exp(-((sol.x - 0.3) ** 2) / 2.0) / math.sqrt(2 * math.pi)
-        assert np.abs(sol.density() - exact).max() < 1e-4
+        assert np.abs(sol.p[-1] - exact).max() < 1e-4
 
     def test_score_interpolation(self):
         model = make_model("ornstein_uhlenbeck")
@@ -211,17 +209,6 @@ class TestDensitySolver:
         with pytest.raises(ValueError, match="ou_speeding_up.*time-dependent"):
             fokker_planck_1d(model, 0.0, 1.0, -5.0, 5.0, n_cells=100, n_steps=100)
 
-    def test_csv_dump_schema(self):
-        model = make_model("ornstein_uhlenbeck")
-        sol = fokker_planck_1d(model, 0.0, 1.0, -5.0, 5.0, n_cells=100, n_steps=100)
-        buf = io.StringIO()
-        write_fp_csv(buf, sol)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "t,x,p,score"
-        assert len(lines) == 1 + 101
-        t, x, p, s = lines[1].split(",")
-        assert float(t) == 1.0 and float(x) == -5.0
-
 
 class TestDualityReport:
     def test_identity_within_errors_scalar(self):
@@ -253,17 +240,6 @@ class TestDualityReport:
         assert good.ok
         assert good.max_z < 3.0 < bad.max_z
         assert bad.max_z > 6.0
-
-    def test_precomputed_harvest_reused(self):
-        from pathscore.estimator import harvest_paths
-
-        model = make_model("ornstein_uhlenbeck")
-        grid = TimeGrid(horizon=1.0, steps=32)
-        h = harvest_paths(model, grid, [0.0], 1000, seed=35)
-        a = duality_report(model, grid, [0.0], 1000, seed=35)
-        b = duality_report(model, grid, [0.0], 1000, seed=35, harvest=h)
-        npt.assert_array_equal(a.matrix, b.matrix)
-        npt.assert_array_equal(a.stderr, b.stderr)
 
     def test_too_few_paths_refused(self):
         model = make_model("ornstein_uhlenbeck")

@@ -201,7 +201,7 @@ class TestVariationProcesses:
             singular = simulate_variation_batch(flat, g4, inc2, x0=[0.1, 0.2])
         assert blown.valid.tolist() == [False, True]
         assert np.all(np.isfinite(blown.Yinv[1]))
-        assert singular.n_invalid == 3
+        assert np.sum(~singular.valid) == 3
         assert np.all(singular.Y[:, 1, 0, 0] == 0.0)
         assert np.all(np.isnan(singular.Yinv[:, 1:]))
         npt.assert_array_equal(singular.Yinv[:, 0], np.broadcast_to(np.eye(2), (3, 2, 2)))
@@ -216,7 +216,7 @@ class TestVariationProcesses:
         x0 = np.array([[1e308], [0.0]])
         batch = simulate_variation_batch(model, g, inc, x0=x0)
         assert batch.valid.tolist() == [False, True]
-        assert batch.n_invalid == 1
+        assert np.sum(~batch.valid) == 1
         assert np.all(np.isfinite(batch.X[1]))
 
     def test_bad_increment_shape_rejected(self):
