@@ -10,6 +10,7 @@ from typing import Any
 import numpy as np
 import yaml
 
+from .estimator import MIN_EFFECTIVE_SAMPLES
 from .models import BUILTIN_MODELS
 
 # The keys each section accepts; anything else is refused by name.
@@ -23,7 +24,6 @@ SECTIONS = {
     "validate": ("n_paths", "bump_probes", "flip_b_term"),
 }
 PROVIDERS = ("analytic", "tables")
-MIN_KNN = 5
 _REQUIRED = object()
 
 
@@ -202,8 +202,8 @@ def parse_config(raw: dict) -> RunConfig:
     knn = score.get("knn")
     if knn is not None:
         knn = _get(score, "score", "knn", int)
-        if knn < MIN_KNN:
-            raise ConfigError(f"score.knn: must be at least {MIN_KNN}, got {knn}")
+        if knn < MIN_EFFECTIVE_SAMPLES:
+            raise ConfigError(f"score.knn: must be at least {int(MIN_EFFECTIVE_SAMPLES)}, got {knn}")
 
     out = _section(raw, "output")
     out_dir = _get(out, "output", "directory", str, "out")

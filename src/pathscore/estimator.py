@@ -145,15 +145,12 @@ class ScoreTable:
     """
 
     t: float
-    node: int
     points: np.ndarray  # (Q, m)
     scores: np.ndarray  # (Q, m)
     stderr: np.ndarray  # (Q, m)
     n_eff: np.ndarray  # (Q,)
     flagged: np.ndarray  # (Q,) bool
     bandwidth: np.ndarray | None
-    knn: int | None
-    n_paths: int
     excluded: int
 
 
@@ -248,15 +245,12 @@ def estimate_score(
 
     table = ScoreTable(
         t=node * grid.dt,
-        node=node,
         points=points,
         scores=scores,
         stderr=stderr,
         n_eff=n_eff,
         flagged=n_eff < MIN_EFFECTIVE_SAMPLES,
         bandwidth=h,
-        knn=knn,
-        n_paths=n_paths,
         excluded=harvest.n_excluded,
     )
     return table, harvest
@@ -311,15 +305,12 @@ def read_score_csv(fh) -> ScoreTable:
     excluded = int(rows[0][-1])
     return ScoreTable(
         t=t,
-        node=-1,
         points=points,
         scores=scores,
         stderr=stderr,
         n_eff=n_eff,
         flagged=n_eff < MIN_EFFECTIVE_SAMPLES,
         bandwidth=None,
-        knn=None,
-        n_paths=0,
         excluded=excluded,
     )
 
@@ -466,9 +457,10 @@ def reverse_time_sample(
         for k in range(grid.steps, 0, -1):
             t = k * dt
             s = provider.score(t, x)
+            sig = model.sigma(t, x)
             drift = model.b(t, x) - divergence_sigma_sigma_T(model, t, x) + np.einsum(
-                "bil,bl->bi", model.sigma(t, x), s
+                "bil,bl->bi", sig, s
             )
-            x = x + drift * dt + np.einsum("bil,bl->bi", model.sigma(t, x), bwd[:, k - 1])
+            x = x + drift * dt + np.einsum("bil,bl->bi", sig, bwd[:, k - 1])
         out[lo:hi] = x
     return out

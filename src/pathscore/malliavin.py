@@ -21,6 +21,13 @@ scheme. The batched assembly runs in O(N) per path by pre-accumulating
 prefix/suffix sums in which the t-dependence of the two-time kernels has
 been factored out; the direct O(N^2) per-node formulas it reproduces live
 with the oracles.
+
+The corrections are built from M_n = Yinv_n (Z_n V_n - dsigma_n Y_n), the
+response at node n; the omega kernel is Om_n = Z_N V_n - Y_N M_n by
+associativity. The s >= t part of the b/c kernel carries the sandwich
+Y_N Yinv_s Y_s, which is Y_N only because Yinv_s = Y_s^{-1}; its Y_N M term
+then cancels against Om and leaves Z_N V. Any other Yinv (say Y_{s+1}^{-1})
+breaks that cancellation, and the s >= t kernel must be derived again.
 """
 
 from __future__ import annotations
@@ -104,32 +111,28 @@ def _correction_arrays(batch: TrajectoryBatch, bundle: BundleBatch) -> dict:
     diffusion-derivative terms are exact zeros and are skipped, which leaves
     every bit unchanged.
 
-    Keys: Om, M (B,N,d,m,m); Glow, Gup (B,N,m,m); Hup (B,N,m,m,m);
-    Eup (B,N,m,m,m,m).
+    Keys: ZNV, Om (B,N,d,m,m); Glow, Gup (B,N,m,m); Hup (B,N,m,m,m).
     """
     grid = batch.grid
     N, dt = grid.steps, grid.dt
-    Yl, Yinvl, Zl = batch.Y[:, :N], batch.Yinv[:, :N], batch.Z[:, :N]
+    Yinvl, Zl = batch.Yinv[:, :N], batch.Z[:, :N]
     YN, ZN = batch.Y[:, N], batch.Z[:, N]
     V, W = bundle.V, bundle.W
 
-    # Omega: channel-l derivative of Y_N through node n.
-    Zv_N = np.einsum("bipq,bnql->bnlip", ZN, V)
-    Zv_t = np.einsum("bnipq,bnql->bnlip", Zl, V)
-    YNYinv = np.einsum("bij,bnjr->bnir", YN, Yinvl)
-    Om = Zv_N - np.einsum("bnir,bnlrp->bnlip", YNYinv, Zv_t)
+    # M: the Z_n/dsigma_n response at node n; Omega, the channel-l
+    # derivative of Y_N through node n, is then Z_N V - Y_N M.
     M = np.einsum("bnij,bnjpq,bnql->bnlip", Yinvl, Zl, V)
     if not batch.model.state_independent_diffusion:
         dsig_left = _left_eval(batch, "dsigma")
-        Om = Om + np.einsum("bnir,bnlrs,bnsp->bnlip", YNYinv, dsig_left, Yl)
-        M = M - np.einsum("bnij,bnljk,bnkq->bnliq", Yinvl, dsig_left, Yl)
+        M = M - np.einsum("bnij,bnljk,bnkq->bnliq", Yinvl, dsig_left, batch.Y[:, :N])
+    ZNV = np.einsum("bipq,bnql->bnlip", ZN, V)
+    Om = ZNV - np.einsum("bir,bnlrp->bnlip", YN, M)
     # Z is symmetric in its last two indices (a Hessian), so the response
     # kernel T[i, c, q] is -M[c, i, q].
     T = -np.swapaxes(M, 2, 3)
 
     # Two-time kernels factor into (s-local) x (t-local) pieces; accumulate
-    # the s-sums once. G_s = V_s W_s^T; H carries the Z_s/dsigma_s response;
-    # E carries the sandwich Y_N Yinv_s Y_s (x) G_s applied to M at t.
+    # the s-sums once. G_s = V_s W_s^T; H carries the Z_s/dsigma_s response.
     G = np.einsum("bnal,bnql->bnaq", V, W)
     Gc = np.cumsum(G, axis=1) * dt
     Glow = Gc - G * dt
@@ -140,12 +143,7 @@ def _correction_arrays(batch: TrajectoryBatch, bundle: BundleBatch) -> dict:
     Hc = np.cumsum(H, axis=1) * dt
     Hup = Hc[:, N - 1 : N] - (Hc - H * dt)
 
-    S = np.einsum("bnia,bnar->bnir", YNYinv, Yl)  # Y_N Yinv_s Y_s
-    E = np.einsum("bnia,bnxq->bniaxq", S, G)
-    Ec = np.cumsum(E, axis=1) * dt
-    Eup = Ec[:, N - 1 : N] - (Ec - E * dt)
-
-    return {"Om": Om, "M": M, "Glow": Glow, "Gup": Gup, "Hup": Hup, "Eup": Eup}
+    return {"ZNV": ZNV, "Om": Om, "Glow": Glow, "Gup": Gup, "Hup": Hup}
 
 
 def skorokhod_batch(batch: TrajectoryBatch, bundle: BundleBatch) -> dict:
@@ -165,7 +163,7 @@ def skorokhod_batch(batch: TrajectoryBatch, bundle: BundleBatch) -> dict:
     # masked below; silence the arithmetic warnings they would trigger.
     with np.errstate(invalid="ignore", over="ignore"):
         parts = _correction_arrays(batch, bundle)
-        V, Om, M = bundle.V, parts["Om"], parts["M"]
+        V, Om = bundle.V, parts["Om"]
 
         v_ito = np.einsum("bnil,bnl->bi", V, batch.dB)
         ito = np.einsum("bik,bi->bk", F, v_ito)
@@ -175,10 +173,9 @@ def skorokhod_batch(batch: TrajectoryBatch, bundle: BundleBatch) -> dict:
         lower = np.einsum("bnlpa,bnaq->bnlpq", Om, parts["Glow"])
         lower = lower + np.swapaxes(lower, -1, -2)
 
-        upper = (
-            np.einsum("bnlpa,bnaq->bnlpq", Om, parts["Gup"])
-            + np.einsum("bniaxq,bnlax->bnliq", parts["Eup"], M)
-            + np.einsum("bnpqr,bnrl->bnlpq", parts["Hup"], V)
+        # Om Gup plus the sandwich term Y_N M Gup (Y_N Yinv_s Y_s = Y_N) is Z_N V Gup.
+        upper = np.einsum("bnlpa,bnaq->bnlpq", parts["ZNV"], parts["Gup"]) + np.einsum(
+            "bnpqr,bnrl->bnlpq", parts["Hup"], V
         )
         upper = upper + np.swapaxes(upper, -1, -2)
 

@@ -134,7 +134,7 @@ class TestEstimateScore:
         got = table.scores[0, 0]
         se = table.stderr[0, 0]
         assert abs(got - OU_SCORE_AT_HALF) < max(4 * se, 0.03)
-        assert table.node == 256 and table.t == 1.0
+        assert table.t == 1.0
         assert not table.flagged[0]
         assert table.excluded == 0
 
@@ -185,7 +185,6 @@ class TestEstimateScore:
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=64)
         table, _ = estimate_score(model, grid, [0.0], 1.0, [[0.0]], 3000, seed=8, knn=200)
-        assert table.knn == 200
         assert np.all(table.n_eff == 200.0)
         assert abs(table.scores[0, 0]) < 0.2  # score at the mean is zero
 
@@ -221,15 +220,12 @@ class TestScoreCsv:
         Q = points.shape[0]
         return ScoreTable(
             t=0.5,
-            node=8,
             points=points,
             scores=rng.normal(size=(Q, m)),
             stderr=np.abs(rng.normal(size=(Q, m))),
             n_eff=np.full(Q, 37.5),
             flagged=np.zeros(Q, dtype=bool),
             bandwidth=np.full(m, 0.2),
-            knn=None,
-            n_paths=1000,
             excluded=3,
         )
 
@@ -305,15 +301,12 @@ class TestTableProvider:
         s = np.asarray(scores, dtype=float).reshape(3, 1)
         return ScoreTable(
             t=node * 0.25,
-            node=node,
             points=points,
             scores=s,
             stderr=np.zeros((3, 1)),
             n_eff=np.full(3, 100.0),
             flagged=np.zeros(3, dtype=bool),
             bandwidth=None,
-            knn=None,
-            n_paths=100,
             excluded=0,
         )
 
@@ -348,15 +341,12 @@ class TestTableProvider:
         Q = points.shape[0]
         return ScoreTable(
             t=1.0,
-            node=4,
             points=points,
             scores=scores,
             stderr=np.zeros((Q, 2)),
             n_eff=np.full(Q, 50.0),
             flagged=np.zeros(Q, dtype=bool),
             bandwidth=None,
-            knn=None,
-            n_paths=100,
             excluded=0,
         )
 

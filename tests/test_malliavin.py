@@ -192,7 +192,14 @@ class TestCoveringFields:
 
 class TestNoiseDerivatives:
     def test_two_code_paths_for_terminal_kernel_agree(self):
-        for name, x0 in [("state_dependent_tanh", [0.3]), ("linear_multidim", [0.2, 0.1])]:
+        # The assembly derives Om from M as Z_N V - Y_N M; only the m = 2
+        # model with Z != 0 and dsigma != 0 tells the index order of Y_N M.
+        cases = [
+            ("state_dependent_tanh", [0.3]),
+            ("linear_multidim", [0.2, 0.1]),
+            ("sheared_tanh_2d", [0.3, -0.2]),
+        ]
+        for name, x0 in cases:
             batch = _path(name, 24, 6, x0)
             Om = _correction_arrays(batch, compute_bundle_batch(batch))["Om"]
             for i in (0, 5, 23):
