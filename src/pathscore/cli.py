@@ -189,9 +189,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, workers: int) -> int:
 def cmd_duality(cfg: RunConfig, out_dir: str, workers: int) -> int:
     model, grid, x0 = _build(cfg)
     t0 = time.time()
-    rep = duality_report(
-        model, grid, x0, cfg.n_paths, cfg.seed, workers=workers, flip_b_term=cfg.flip_b_term
-    )
+    rep = duality_report(model, grid, x0, cfg.n_paths, cfg.seed, workers=workers)
     _timing("duality", t0)
     with open(os.path.join(out_dir, "duality.csv"), "w") as fh:
         fh.write("i,k,estimate,stderr\n")
@@ -217,8 +215,6 @@ def cmd_reverse(cfg: RunConfig, out_dir: str, workers: int) -> int:
     if cfg.reverse_provider == "analytic":
         provider = AnalyticScoreProvider(model, x0)
     else:
-        if not cfg.reverse_tables_dir:
-            raise ConfigError("reverse.tables_dir: required when provider is 'tables'")
         tables = {}
         pat = re.compile(r"score_n(\d+)\.csv$")
         if not os.path.isdir(cfg.reverse_tables_dir):
@@ -330,15 +326,7 @@ def _validate_checks(cfg: RunConfig, workers: int):
     )
 
     t0 = time.time()
-    dual = duality_report(
-        model,
-        grid,
-        x0,
-        cfg.validate_paths,
-        cfg.seed,
-        workers=workers,
-        flip_b_term=cfg.flip_b_term,
-    )
+    dual = duality_report(model, grid, x0, cfg.validate_paths, cfg.seed, workers=workers)
     _timing("validate duality", t0)
     yield (
         "duality",

@@ -1,10 +1,12 @@
 """Structured run configuration: a flat-sectioned YAML file parsed into a
 frozen dataclass with explicit defaults, so every artifact is reproducible
-from its config echo."""
+from its config echo. Each RunConfig field names its YAML section, key and
+parser once; the accepted keys and the parse loop derive from the fields.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -13,48 +15,162 @@ import yaml
 from .estimator import MIN_EFFECTIVE_SAMPLES
 from .models import BUILTIN_MODELS
 
-# The keys each section accepts; anything else is refused by name.
-SECTIONS = {
-    "model": ("name", "params"),
-    "grid": ("horizon", "steps"),
-    "sampling": ("x0", "n_paths", "seed"),
-    "score": ("t_eval", "y_min", "y_max", "y_count", "bandwidth", "knn"),
-    "output": ("directory", "dump_paths", "dump_breakdown"),
-    "reverse": ("provider", "n_samples", "tables_dir"),
-    "validate": ("n_paths", "bump_probes", "flip_b_term"),
-}
 PROVIDERS = ("analytic", "tables")
-_REQUIRED = object()
 
 
 class ConfigError(ValueError):
     """Invalid or malformed run configuration; names the offending field."""
 
 
-@dataclass(frozen=True)
+# Parsers take (value, where), where is "section.key", and return the value
+# to store or raise a ConfigError that starts with where.
+
+
+def _int(val, where: str) -> int:
+    try:
+        if not isinstance(val, bool) and val == int(val):
+            return int(val)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{where}: expected int, got {val!r}")
+
+
+def _float(val, where: str) -> float:
+    try:
+        return float(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected float, got {val!r}") from None
+
+
+def _of_type(kind):
+    def parse(val, where: str):
+        if not isinstance(val, kind):
+            raise ConfigError(f"{where}: expected {kind.__name__}, got {val!r}")
+        return val
+
+    return parse
+
+
+_str = _of_type(str)
+_bool = _of_type(bool)
+
+
+def _mapping(val, where: str) -> dict:
+    # Only an empty YAML entry means {}: [] or 0 in place of a mapping is refused.
+    if val is None:
+        return {}
+    if not isinstance(val, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {type(val).__name__}")
+    return dict(val)
+
+
+def _floats(val, where: str) -> tuple:
+    if np.isscalar(val):
+        val = [val]
+    try:
+        return tuple(float(v) for v in val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a list of numbers, got {val!r}") from None
+
+
+def _ints(val, where: str) -> tuple:
+    vals = _floats(val, where)
+    if not all(v.is_integer() for v in vals):
+        raise ConfigError(f"{where}: expected integers, got {vals!r}")
+    return tuple(int(v) for v in vals)
+
+
+def _require(parse, ok, rule: str):
+    """Parse, then refuse a value that fails ok as '<where>: <rule>, got <value>'."""
+
+    def check(val, where: str):
+        v = parse(val, where)
+        if not ok(v):
+            raise ConfigError(f"{where}: {rule}, got {v}")
+        return v
+
+    return check
+
+
+def _positive(parse):
+    return _require(parse, lambda v: v > 0, "must be positive")
+
+
+def _at_least(lo: int):
+    return _require(_int, lambda n: n >= lo, f"must be at least {lo}")
+
+
+def _optional(parse):
+    return lambda val, where: None if val is None else parse(val, where)
+
+
+def _model_name(val, where: str) -> str:
+    name = _str(val, where)
+    if name not in BUILTIN_MODELS:
+        raise ConfigError(f"{where}: unknown model '{name}' (builtins: {sorted(BUILTIN_MODELS)})")
+    return name
+
+
+def _provider(val, where: str) -> str:
+    name = _str(val, where)
+    if name not in PROVIDERS:
+        raise ConfigError(f"{where}: expected one of {PROVIDERS}, got '{name}'")
+    return name
+
+
+def _bandwidth(val, where: str):
+    if isinstance(val, str):
+        if val != "auto":
+            raise ConfigError(f"{where}: expected 'auto' or a number, got '{val}'")
+        return val
+    return _positive(_float)(val, where)
+
+
+def _key(section: str, key: str, parse, **default):
+    """A field read from `section.key` by parse; required unless given a default."""
+    return field(metadata={"section": section, "key": key, "parse": parse}, **default)
+
+
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    model_name: str
-    model_params: dict
-    horizon: float
-    steps: int
-    x0: tuple
-    n_paths: int
-    seed: int
-    t_eval: tuple = ()
-    y_min: tuple = ()
-    y_max: tuple = ()
-    y_count: tuple = ()
-    bandwidth: Any = "auto"
-    knn: int | None = None
-    out_dir: str = "out"
-    dump_paths: int = 0
-    dump_breakdown: bool = False
-    reverse_provider: str = "analytic"
-    reverse_samples: int = 10_000
-    reverse_tables_dir: str | None = None
-    validate_paths: int = 10_000
-    bump_probes: int = 20
-    flip_b_term: bool = False
+    model_name: str = _key("model", "name", _model_name)
+    model_params: dict = _key("model", "params", _mapping, default_factory=dict)
+    horizon: float = _key("grid", "horizon", _positive(_float))
+    steps: int = _key("grid", "steps", _at_least(2))
+    x0: tuple = _key("sampling", "x0", _floats)
+    n_paths: int = _key("sampling", "n_paths", _positive(_int))
+    seed: int = _key("sampling", "seed", _int)
+    t_eval: tuple = _key("score", "t_eval", _floats, default=())
+    y_min: tuple = _key("score", "y_min", _floats, default=())
+    y_max: tuple = _key("score", "y_max", _floats, default=())
+    y_count: tuple = _key("score", "y_count", _ints, default=())
+    bandwidth: Any = _key("score", "bandwidth", _bandwidth, default="auto")
+    knn: int | None = _key(
+        "score", "knn", _optional(_at_least(int(MIN_EFFECTIVE_SAMPLES))), default=None
+    )
+    out_dir: str = _key("output", "directory", _str, default="out")
+    dump_paths: int = _key(
+        "output", "dump_paths", _require(_int, lambda n: n >= 0, "must be non-negative"), default=0
+    )
+    dump_breakdown: bool = _key("output", "dump_breakdown", _bool, default=False)
+    reverse_provider: str = _key("reverse", "provider", _provider, default="analytic")
+    reverse_samples: int = _key("reverse", "n_samples", _positive(_int), default=10_000)
+    reverse_tables_dir: str | None = _key("reverse", "tables_dir", _optional(_str), default=None)
+    validate_paths: int = _key("validate", "n_paths", _positive(_int), default=10_000)
+    bump_probes: int = _key("validate", "bump_probes", _positive(_int), default=20)
+
+    def __post_init__(self):
+        if not len(self.y_min) == len(self.y_max) == len(self.y_count):
+            raise ConfigError(
+                "score.y_min/y_max/y_count: per-dimension specs must have equal length"
+            )
+        for j, (lo, hi, n) in enumerate(zip(self.y_min, self.y_max, self.y_count)):
+            if n < 1:
+                raise ConfigError(f"score.y_count[{j}]: must be positive, got {n}")
+            if lo > hi:
+                raise ConfigError(f"score.y_min[{j}]: {lo} exceeds y_max {hi}")
+        if self.reverse_provider == "tables" and not self.reverse_tables_dir:
+            raise ConfigError("reverse.tables_dir: required when provider is 'tables'")
 
     def y_points(self) -> np.ndarray:
         """Expand the per-dimension (min, max, count) spec into a full grid."""
@@ -80,176 +196,36 @@ class RunConfig:
         return out
 
 
-def _section(raw: dict, name: str) -> dict:
-    sec = raw.get(name, {})
-    if sec is None:
-        sec = {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{name}: expected a mapping, got {type(sec).__name__}")
-    for key in sec:
-        if key not in SECTIONS[name]:
-            raise ConfigError(f"{name}.{key}: unknown key (expected one of {list(SECTIONS[name])})")
-    return sec
-
-
-def _get(sec: dict, section: str, key: str, kind, default=_REQUIRED):
-    if key not in sec:
-        if default is _REQUIRED:
-            raise ConfigError(f"{section}.{key}: required field missing")
-        return default
-    val = sec[key]
-    try:
-        if kind is int:
-            if isinstance(val, bool) or val != int(val):
-                raise TypeError
-            return int(val)
-        if kind is float:
-            return float(val)
-        if kind is bool:
-            if not isinstance(val, bool):
-                raise TypeError
-            return val
-        if kind is str:
-            if not isinstance(val, str):
-                raise TypeError
-            return val
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"{section}.{key}: expected {kind.__name__}, got {val!r}"
-        ) from None
-    raise AssertionError(kind)
-
-
-def _float_tuple(sec, section, key, default=None):
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"{section}.{key}: required field missing")
-        return default
-    val = sec[key]
-    if np.isscalar(val):
-        val = [val]
-    try:
-        return tuple(float(v) for v in val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{section}.{key}: expected a list of numbers, got {val!r}") from None
-
-
-def _int_tuple(sec, section, key, default=None):
-    vals = _float_tuple(sec, section, key, default)
-    if any(v != int(v) for v in vals):
-        raise ConfigError(f"{section}.{key}: expected integers, got {vals!r}")
-    return tuple(int(v) for v in vals)
+# The keys each section accepts, in field order; anything else is refused by name.
+SECTIONS: dict[str, list[str]] = {}
+for _f in fields(RunConfig):
+    SECTIONS.setdefault(_f.metadata["section"], []).append(_f.metadata["key"])
 
 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a parsed mapping into a RunConfig, naming bad fields."""
     if not isinstance(raw, dict):
         raise ConfigError(f"top level: expected a mapping, got {type(raw).__name__}")
-    for key in raw:
-        if key not in SECTIONS:
-            raise ConfigError(f"{key}: unknown section (expected one of {sorted(SECTIONS)})")
+    for name in raw:
+        if name not in SECTIONS:
+            raise ConfigError(f"{name}: unknown section (expected one of {sorted(SECTIONS)})")
+    given = {name: _mapping(raw.get(name), name) for name in SECTIONS}
+    for name, sec in given.items():
+        for key in sec:
+            if key not in SECTIONS[name]:
+                raise ConfigError(
+                    f"{name}.{key}: unknown key (expected one of {SECTIONS[name]})"
+                )
 
-    model = _section(raw, "model")
-    name = _get(model, "model", "name", str)
-    if name not in BUILTIN_MODELS:
-        raise ConfigError(
-            f"model.name: unknown model '{name}' (builtins: {sorted(BUILTIN_MODELS)})"
-        )
-    params = model.get("params", {}) or {}
-    if not isinstance(params, dict):
-        raise ConfigError("model.params: expected a mapping")
-
-    gridsec = _section(raw, "grid")
-    horizon = _get(gridsec, "grid", "horizon", float)
-    steps = _get(gridsec, "grid", "steps", int)
-    if horizon <= 0:
-        raise ConfigError(f"grid.horizon: must be positive, got {horizon}")
-    if steps < 2:
-        raise ConfigError(f"grid.steps: must be at least 2, got {steps}")
-
-    samp = _section(raw, "sampling")
-    x0 = _float_tuple(samp, "sampling", "x0")
-    n_paths = _get(samp, "sampling", "n_paths", int)
-    seed = _get(samp, "sampling", "seed", int)
-    if n_paths < 1:
-        raise ConfigError(f"sampling.n_paths: must be positive, got {n_paths}")
-
-    score = _section(raw, "score")
-    t_eval = _float_tuple(score, "score", "t_eval", ())
-    y_min = _float_tuple(score, "score", "y_min", ())
-    y_max = _float_tuple(score, "score", "y_max", ())
-    y_count = _int_tuple(score, "score", "y_count", ())
-    if not len(y_min) == len(y_max) == len(y_count):
-        raise ConfigError(
-            "score.y_min/y_max/y_count: per-dimension specs must have equal length"
-        )
-    for j, (lo, hi, n) in enumerate(zip(y_min, y_max, y_count)):
-        if n < 1:
-            raise ConfigError(f"score.y_count[{j}]: must be positive, got {n}")
-        if lo > hi:
-            raise ConfigError(f"score.y_min[{j}]: {lo} exceeds y_max {hi}")
-    bandwidth = score.get("bandwidth", "auto")
-    if isinstance(bandwidth, str):
-        if bandwidth != "auto":
-            raise ConfigError(f"score.bandwidth: expected 'auto' or a number, got '{bandwidth}'")
-    else:
-        try:
-            bandwidth = float(bandwidth)
-        except (TypeError, ValueError):
-            raise ConfigError(f"score.bandwidth: expected 'auto' or a number, got {bandwidth!r}") from None
-        if bandwidth <= 0:
-            raise ConfigError(f"score.bandwidth: must be positive, got {bandwidth}")
-    knn = score.get("knn")
-    if knn is not None:
-        knn = _get(score, "score", "knn", int)
-        if knn < MIN_EFFECTIVE_SAMPLES:
-            raise ConfigError(f"score.knn: must be at least {int(MIN_EFFECTIVE_SAMPLES)}, got {knn}")
-
-    out = _section(raw, "output")
-    out_dir = _get(out, "output", "directory", str, "out")
-    dump_paths = _get(out, "output", "dump_paths", int, 0)
-    dump_breakdown = _get(out, "output", "dump_breakdown", bool, False)
-    if dump_paths < 0:
-        raise ConfigError(f"output.dump_paths: must be non-negative, got {dump_paths}")
-
-    rev = _section(raw, "reverse")
-    provider = _get(rev, "reverse", "provider", str, "analytic")
-    if provider not in PROVIDERS:
-        raise ConfigError(f"reverse.provider: expected one of {PROVIDERS}, got '{provider}'")
-    reverse_samples = _get(rev, "reverse", "n_samples", int, 10_000)
-    tables_dir = rev.get("tables_dir")
-    if tables_dir is not None and not isinstance(tables_dir, str):
-        raise ConfigError(f"reverse.tables_dir: expected a path, got {tables_dir!r}")
-
-    val = _section(raw, "validate")
-    validate_paths = _get(val, "validate", "n_paths", int, 10_000)
-    bump_probes = _get(val, "validate", "bump_probes", int, 20)
-    flip_b = _get(val, "validate", "flip_b_term", bool, False)
-
-    return RunConfig(
-        model_name=name,
-        model_params=dict(params),
-        horizon=horizon,
-        steps=steps,
-        x0=x0,
-        n_paths=n_paths,
-        seed=seed,
-        t_eval=t_eval,
-        y_min=y_min,
-        y_max=y_max,
-        y_count=y_count,
-        bandwidth=bandwidth,
-        knn=knn,
-        out_dir=out_dir,
-        dump_paths=dump_paths,
-        dump_breakdown=dump_breakdown,
-        reverse_provider=provider,
-        reverse_samples=reverse_samples,
-        reverse_tables_dir=tables_dir,
-        validate_paths=validate_paths,
-        bump_probes=bump_probes,
-        flip_b_term=flip_b,
-    )
+    values = {}
+    for f in fields(RunConfig):
+        section, key = f.metadata["section"], f.metadata["key"]
+        where = f"{section}.{key}"
+        if key in given[section]:
+            values[f.name] = f.metadata["parse"](given[section][key], where)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}: required field missing")
+    return RunConfig(**values)
 
 
 def load_config(path: str) -> RunConfig:

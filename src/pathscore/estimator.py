@@ -100,6 +100,8 @@ def harvest_paths(
     workers > 1 the same chunks run in forked processes and are merged in
     index order, so the result is bit-identical to the serial run.
     """
+    if n_paths < 1:
+        raise ValueError(f"need at least one path, got {n_paths}")
     ch = chunk_size(model.m)
     chunks = [(lo, min(n_paths, lo + ch)) for lo in range(0, n_paths, ch)]
     state = (model, grid, np.asarray(x0, dtype=float), seed)
@@ -458,7 +460,7 @@ def reverse_time_sample(
             t = k * dt
             s = provider.score(t, x)
             sig = model.sigma(t, x)
-            drift = model.b(t, x) - divergence_sigma_sigma_T(model, t, x) + np.einsum(
+            drift = model.b(t, x) - divergence_sigma_sigma_T(model, t, x, sig) + np.einsum(
                 "bil,bl->bi", sig, s
             )
             x = x + drift * dt + np.einsum("bil,bl->bi", sig, bwd[:, k - 1])

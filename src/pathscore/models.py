@@ -190,16 +190,16 @@ def make_model(name: str, params: dict | None = None) -> SdeModel:
         raise ValueError(f"bad parameters for model '{name}': {exc}") from exc
 
 
-def divergence_sigma_sigma_T(model: SdeModel, t, x) -> np.ndarray:
+def divergence_sigma_sigma_T(model: SdeModel, t, x, sig) -> np.ndarray:
     """Row divergence of sigma sigma^T: out[i] = sum_j d_{x_j} (sigma sigma^T)_{ij}.
 
+    sig is model.sigma(t, x), which the caller has already evaluated.
     Appears in the drift of the reverse-time equation; identically zero for
     state-independent diffusion.
     """
     x = np.asarray(x, dtype=float)
     if model.state_independent_diffusion:
         return np.zeros(x.shape[:-1] + (model.m,))
-    sig = model.sigma(t, x)
     dsig = model.dsigma(t, x)
     term1 = np.einsum("...lij,...jl->...i", dsig, sig)
     term2 = np.einsum("...il,...ljj->...i", sig, dsig)

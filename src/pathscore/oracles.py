@@ -423,23 +423,14 @@ def duality_report(
     n_paths: int,
     seed: int,
     workers: int = 1,
-    flip_b_term: bool = False,
 ) -> DualityReport:
-    """Estimate the duality matrix and its distance from the identity in SEs.
-
-    ``flip_b_term`` recombines the stored breakdown with the wrong sign on
-    the lower-triangle correction (total = ito - a - b + c); it exists as a
-    negative control for the validation pipeline and must push the check
-    beyond 3 SEs.
-    """
+    """Estimate the duality matrix and its distance from the identity in SEs."""
     harvest = harvest_paths(model, grid, x0, n_paths, seed, workers=workers)
     ok = harvest.valid
     n_ok = int(ok.sum())
     if n_ok < 100:
         raise ValueError(f"only {n_ok} valid paths; duality estimate unreliable")
     delta = harvest.total[ok]
-    if flip_b_term:
-        delta = harvest.ito[ok] - harvest.a[ok] - harvest.b[ok] + harvest.c[ok]
     X = harvest.X_t[ok]
     prod = X[:, :, None] * delta[:, None, :]
     est = prod.mean(axis=0)

@@ -4,9 +4,12 @@ Every command runs in-process through main(argv) against a temp directory,
 so these tests exercise exactly what a shell user gets.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from pathscore import oracles
 from pathscore.cli import BREAKDOWN_HEADER, main
 
 OU_SMALL = """
@@ -234,7 +237,16 @@ validate:
         report = (out / "validation.txt").read_text()
         assert report.strip().endswith("overall: PASS")
 
-    def test_sign_flip_fails_and_returns_one(self, tmp_path, capsys):
+    def test_sign_flip_fails_and_returns_one(self, tmp_path, capsys, monkeypatch):
+        # A breakdown recombined with the wrong sign (total = ito - a - b + c)
+        # must fail the duality check and the command.
+        real = oracles.harvest_paths
+
+        def flipped(*args, **kwargs):
+            h = real(*args, **kwargs)
+            return replace(h, total=h.ito - h.a - h.b + h.c)
+
+        monkeypatch.setattr(oracles, "harvest_paths", flipped)
         cfg = _write(
             tmp_path,
             """
@@ -250,7 +262,6 @@ sampling:
 validate:
   n_paths: 4000
   bump_probes: 4
-  flip_b_term: true
 """,
         )
         out = tmp_path / "out"

@@ -1,10 +1,13 @@
 """Configuration parsing: every rejection names the offending section.key."""
 
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import yaml
 
-from pathscore.config import ConfigError, RunConfig, load_config, parse_config
+from pathscore.config import SECTIONS, ConfigError, RunConfig, load_config, parse_config
 
 
 def _minimal(**overrides):
@@ -34,7 +37,7 @@ class TestParse:
         assert cfg.reverse_provider == "analytic" and cfg.reverse_samples == 10_000
         assert cfg.reverse_tables_dir is None
         assert cfg.validate_paths == 10_000 and cfg.bump_probes == 20
-        assert not cfg.flip_b_term and not cfg.dump_breakdown
+        assert not cfg.dump_breakdown
 
     def test_full_round_trip(self):
         raw = _minimal(
@@ -48,7 +51,7 @@ class TestParse:
             },
             output={"directory": "run1", "dump_paths": 2, "dump_breakdown": True},
             reverse={"provider": "tables", "n_samples": 500, "tables_dir": "tabs"},
-            validate={"n_paths": 123, "bump_probes": 4, "flip_b_term": True},
+            validate={"n_paths": 123, "bump_probes": 4},
         )
         cfg = parse_config(raw)
         assert cfg.model_params == {"alpha": 0.25}
@@ -57,7 +60,7 @@ class TestParse:
         assert cfg.out_dir == "run1" and cfg.dump_paths == 2 and cfg.dump_breakdown
         assert cfg.reverse_provider == "tables"
         assert cfg.reverse_samples == 500 and cfg.reverse_tables_dir == "tabs"
-        assert cfg.validate_paths == 123 and cfg.bump_probes == 4 and cfg.flip_b_term
+        assert cfg.validate_paths == 123 and cfg.bump_probes == 4
 
     def test_scalar_x0_promoted_to_tuple(self):
         cfg = parse_config(_minimal(sampling={"x0": 0.5, "n_paths": 100, "seed": 1}))
@@ -104,8 +107,19 @@ class TestParse:
         (lambda r: r.__setitem__("output", {"dump_breakdown": 1}), "output.dump_breakdown"),
         (lambda r: r.__setitem__("reverse", {"provider": "magic"}), "reverse.provider"),
         (lambda r: r.__setitem__("reverse", {"tables_dir": 3}), "reverse.tables_dir"),
-        (lambda r: r.__setitem__("validate", {"flip_b_term": "yes"}), "validate.flip_b_term"),
         (lambda r: r.__setitem__("grid", [1, 2]), "grid: expected a mapping"),
+        (lambda r: r.__setitem__("validate", []), "validate: expected a mapping"),
+        (lambda r: r.__setitem__("output", 0), "output: expected a mapping"),
+        (lambda r: r.__setitem__("reverse", {"n_samples": 0}), "reverse.n_samples: must be positive"),
+        (lambda r: r.__setitem__("validate", {"n_paths": 0}), "validate.n_paths: must be positive"),
+        (
+            lambda r: r.__setitem__("validate", {"bump_probes": 0}),
+            "validate.bump_probes: must be positive",
+        ),
+        (
+            lambda r: r.__setitem__("reverse", {"provider": "tables"}),
+            "reverse.tables_dir: required when provider is 'tables'",
+        ),
     ],
 )
 def test_rejections_name_the_field(mutate, needle):
@@ -113,6 +127,17 @@ def test_rejections_name_the_field(mutate, needle):
     mutate(raw)
     with pytest.raises(ConfigError, match=needle):
         parse_config(raw)
+
+
+def test_readme_lists_every_key():
+    # The README's Configuration block claims to list every key.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    raw = yaml.safe_load(block)
+    parse_config(raw)
+    assert {name: set(sec) for name, sec in raw.items()} == {
+        name: set(keys) for name, keys in SECTIONS.items()
+    }
 
 
 def test_top_level_must_be_mapping():

@@ -7,6 +7,7 @@ at those seeds.
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -120,6 +121,11 @@ class TestHarvest:
         slope = np.cov(x, delta)[0, 1] / np.var(x, ddof=1)
         v = (1.0 - math.exp(-2.0)) / 2.0
         assert abs(slope * v - 1.0) < 0.02
+
+    def test_no_paths_refused(self):
+        model = make_model("ornstein_uhlenbeck")
+        with pytest.raises(ValueError, match="at least one path"):
+            harvest_paths(model, TimeGrid(1.0, 8), [0.0], 0, seed=1)
 
     def test_chunk_size_depends_only_on_dimension(self):
         assert chunk_size(1) == 4096
@@ -395,6 +401,20 @@ class TestReverseSampler:
         c = reverse_time_sample(model, provider, grid, 300, seed=2, x0=[0.2])
         npt.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_sigma_evaluated_once_per_reverse_step(self):
+        # The divergence term takes the step's sigma, so a state-dependent
+        # model costs one sigma call per forward step and one per reverse step.
+        base = make_model("state_dependent_tanh")
+        calls = []
+
+        def counted(t, x):
+            calls.append(1)
+            return base.sigma(t, x)
+
+        model = replace(base, sigma=counted)
+        reverse_time_sample(model, _ZeroScore(), TimeGrid(1.0, 32), 100, seed=3, x0=[0.5])
+        assert len(calls) == 64
 
     def test_table_backed_reverse_runs(self):
         # End-to-end: estimate tables on every node, then integrate back.

@@ -140,7 +140,7 @@ class TestDivergence:
     def test_zero_for_state_independent(self):
         m = make_model("ornstein_uhlenbeck")
         x = np.array([[0.7], [-1.2]])
-        npt.assert_allclose(divergence_sigma_sigma_T(m, 0.0, x), np.zeros((2, 1)))
+        npt.assert_allclose(divergence_sigma_sigma_T(m, 0.0, x, m.sigma(0.0, x)), np.zeros((2, 1)))
 
     def test_tanh_closed_form(self):
         # For m = d = 1: div(sigma^2) = 2 sigma sigma' = 2 sigma0^2 (1+a th)(a(1-th^2))
@@ -148,7 +148,9 @@ class TestDivergence:
         x = np.array([[0.3]])
         th = np.tanh(0.3)
         expected = 2 * 1.5 * (1 + 0.5 * th) * 1.5 * 0.5 * (1 - th**2)
-        npt.assert_allclose(divergence_sigma_sigma_T(m, 0.0, x), [[expected]], rtol=1e-12)
+        npt.assert_allclose(
+            divergence_sigma_sigma_T(m, 0.0, x, m.sigma(0.0, x)), [[expected]], rtol=1e-12
+        )
 
 
 @settings(max_examples=25, deadline=None)

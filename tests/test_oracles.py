@@ -7,11 +7,13 @@ against exactly solvable cases before being trusted elsewhere.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from pathscore import oracles
 from pathscore.estimator import silverman_bandwidth
 from pathscore.models import SdeModel, make_model
 from pathscore.oracles import (
@@ -230,13 +232,20 @@ class TestDualityReport:
         assert abs(rep.matrix[0, 1]) < 3 * rep.stderr[0, 1]
         assert abs(rep.matrix[1, 0]) < 3 * rep.stderr[1, 0]
 
-    def test_sign_flip_control_is_caught(self):
+    def test_sign_flip_control_is_caught(self, monkeypatch):
         # Recombining the breakdown with a wrong sign must blow the check
         # far past 3 SEs; this guards the validation pipeline itself.
         model = make_model("bounded_nonlinear_drift")
         grid = TimeGrid(horizon=1.0, steps=64)
         good = duality_report(model, grid, [0.5], 4000, seed=33)
-        bad = duality_report(model, grid, [0.5], 4000, seed=33, flip_b_term=True)
+        real = oracles.harvest_paths
+
+        def flipped(*args, **kwargs):
+            h = real(*args, **kwargs)
+            return replace(h, total=h.ito - h.a - h.b + h.c)
+
+        monkeypatch.setattr(oracles, "harvest_paths", flipped)
+        bad = duality_report(model, grid, [0.5], 4000, seed=33)
         assert good.ok
         assert good.max_z < 3.0 < bad.max_z
         assert bad.max_z > 6.0
