@@ -2,7 +2,8 @@
 
 Built from a simulated trajectory (X, Y, Yinv, Z) on a uniform grid:
 
-  W_i  = Y_N Yinv_i sigma_i          sensitivity of X_T to dB_i      (m, d)
+  V_i  = Yinv_i sigma_i              noise loading at node i          (m, d)
+  W_i  = Y_N V_i                     sensitivity of X_T to dB_i      (m, d)
   gamma = sum_i W_i W_i^T dt         terminal sensitivity Gram matrix (m, m)
   u_k(i) = sigma_i^T Yinv_i^T F_k    covering field, F_k = Y_N^T gamma^{-1} e_k
 
@@ -10,24 +11,38 @@ The anticipating integral of u_k splits into an Ito part evaluated at the
 frozen vector F_k minus a correction that accounts for F_k itself depending
 on the whole path. The correction has three pieces (breakdown fields a, b, c):
 
-  a: from the path-derivative of Y_N^T  (the omega kernel)
+  a: from the path-derivative of Y_N^T
   b: from the path-derivative of gamma restricted to s < t
   c: from the path-derivative of gamma restricted to s >= t
 
   total = ito - a + b + c
 
 All quadratures are left-point sums over nodes 0..N-1, matching the Euler
-scheme. The batched assembly runs in O(N) per path by pre-accumulating
-prefix/suffix sums in which the t-dependence of the two-time kernels has
-been factored out; the direct O(N^2) per-node formulas it reproduces live
-with the oracles.
+scheme. Every term contracts (Y_N, Z_N, F, gamma^{-1}) with a few per-path
+sums of two per-step tensors, dt included,
 
-The corrections are built from M_n = Yinv_n (Z_n V_n - dsigma_n Y_n), the
-response at node n; the omega kernel is Om_n = Z_N V_n - Y_N M_n by
-associativity. The s >= t part of the b/c kernel carries the sandwich
-Y_N Yinv_s Y_s, which is Y_N only because Yinv_s = Y_s^{-1}; its Y_N M term
-then cancels against Om and leaves Z_N V. Any other Yinv (say Y_{s+1}^{-1})
-breaks that cancellation, and the s >= t kernel must be derived again.
+  S_n = V_n V_n^T dt                                   (m, m)
+  R_n[j, r, e] = sum_l V_n[j, l] M_n[l, r, e] dt        (m, m, m)
+
+where M_n[l] = Yinv_n (Z_n V_n^l - dsigma_n^l Y_n) is the response at node n
+to noise channel l, and of their exclusive prefix sums Gamma_<n = sum_{s<n} S_s
+and R_<n = sum_{s<n} R_s:
+
+  P = sum_n V_n dB_n,   Gamma = sum_n S_n,   R_tot = sum_n R_n,
+  A_r = sum_n sum_j R_n[j, r, j],
+  B1 = sum_n S_n (x) Gamma_<n,   B2 = sum_n R_n . Gamma_<n,   C2 = sum_n S_n . R_<n.
+
+Then ito = F^T P and a = gamma^{-T} (Z_N : Gamma - Y_N A), while b and c are
+F : sym(K) gamma^{-1}, with sym adding the transpose of K's last two indices:
+
+  K_b = (Z_N : B1 - Y_N B2) Y_N^T
+  K_c = Z_N : (Gamma (x) Gamma - B1) Y_N^T - (Y_N (x) Y_N) : (Gamma . R_tot - C2)
+
+(index order as in the einsums of skorokhod_batch). The s >= t sums of c are
+totals minus prefixes, so the assembly is O(N) per path; the direct O(N^2)
+per-node formulas it reproduces live with the oracles. K_c holds only because
+Yinv_s = Y_s^{-1} at the same node s; any other Yinv (say Y_{s+1}^{-1})
+changes the s >= t kernel, which must then be derived again.
 """
 
 from __future__ import annotations
@@ -104,46 +119,11 @@ def compute_bundle_batch(batch: TrajectoryBatch) -> BundleBatch:
     )
 
 
-def _correction_arrays(batch: TrajectoryBatch, bundle: BundleBatch) -> dict:
-    """Shared O(N)-per-path arrays for the correction terms.
-
-    For a model flagged ``state_independent_diffusion`` the
-    diffusion-derivative terms are exact zeros and are skipped, which leaves
-    every bit unchanged.
-
-    Keys: ZNV, Om (B,N,d,m,m); Glow, Gup (B,N,m,m); Hup (B,N,m,m,m).
-    """
-    grid = batch.grid
-    N, dt = grid.steps, grid.dt
-    Yinvl, Zl = batch.Yinv[:, :N], batch.Z[:, :N]
-    YN, ZN = batch.Y[:, N], batch.Z[:, N]
-    V, W = bundle.V, bundle.W
-
-    # M: the Z_n/dsigma_n response at node n; Omega, the channel-l
-    # derivative of Y_N through node n, is then Z_N V - Y_N M.
-    M = np.einsum("bnij,bnjpq,bnql->bnlip", Yinvl, Zl, V)
-    if not batch.model.state_independent_diffusion:
-        dsig_left = _left_eval(batch, "dsigma")
-        M = M - np.einsum("bnij,bnljk,bnkq->bnliq", Yinvl, dsig_left, batch.Y[:, :N])
-    ZNV = np.einsum("bipq,bnql->bnlip", ZN, V)
-    Om = ZNV - np.einsum("bir,bnlrp->bnlip", YN, M)
-    # Z is symmetric in its last two indices (a Hessian), so the response
-    # kernel T[i, c, q] is -M[c, i, q].
-    T = -np.swapaxes(M, 2, 3)
-
-    # Two-time kernels factor into (s-local) x (t-local) pieces; accumulate
-    # the s-sums once. G_s = V_s W_s^T; H carries the Z_s/dsigma_s response.
-    G = np.einsum("bnal,bnql->bnaq", V, W)
-    Gc = np.cumsum(G, axis=1) * dt
-    Glow = Gc - G * dt
-    Gup = Gc[:, N - 1 : N] - Glow
-
-    YNT = np.einsum("bip,bnpcq->bnicq", YN, T)
-    H = np.einsum("bnpcr,bnqc->bnpqr", YNT, W)
-    Hc = np.cumsum(H, axis=1) * dt
-    Hup = Hc[:, N - 1 : N] - (Hc - H * dt)
-
-    return {"ZNV": ZNV, "Om": Om, "Glow": Glow, "Gup": Gup, "Hup": Hup}
+def _prefix_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exclusive prefix sums over the step axis (axis 1), and the total."""
+    before = np.zeros_like(a)
+    np.cumsum(a[:, :-1], axis=1, out=before[:, 1:])
+    return before, before[:, -1] + a[:, -1]
 
 
 def skorokhod_batch(batch: TrajectoryBatch, bundle: BundleBatch) -> dict:
@@ -156,32 +136,44 @@ def skorokhod_batch(batch: TrajectoryBatch, bundle: BundleBatch) -> dict:
     """
     grid = batch.grid
     N, dt = grid.steps, grid.dt
-    gi = bundle.gamma_inv
-    F = bundle.F
+    gi, F, V = bundle.gamma_inv, bundle.F, bundle.V
+    Yinvl = batch.Yinv[:, :N]
+    YN, ZN = batch.Y[:, N], batch.Z[:, N]
 
     # Invalid/singular paths carry nan or inf through the einsums and are
     # masked below; silence the arithmetic warnings they would trigger.
     with np.errstate(invalid="ignore", over="ignore"):
-        parts = _correction_arrays(batch, bundle)
-        V, Om = bundle.V, parts["Om"]
-
         v_ito = np.einsum("bnil,bnl->bi", V, batch.dB)
         ito = np.einsum("bik,bi->bk", F, v_ito)
 
-        a = dt * np.einsum("bnjl,bnlpj,bpk->bk", V, Om, gi)
+        # Per-step tensors, dt included: S_n = V_n V_n^T and R_n = V_n M_n.
+        S = dt * np.einsum("bnjl,bnql->bnjq", V, V)
+        R = np.einsum("bnri,bnieq,bnjq->bnjre", Yinvl, batch.Z[:, :N], S)
+        if not batch.model.state_independent_diffusion:
+            dsig = _left_eval(batch, "dsigma")
+            R -= dt * np.einsum("bnjl,bnri,bnlik,bnke->bnjre", V, Yinvl, dsig, batch.Y[:, :N])
+            del dsig
+        Gam_before, Gam = _prefix_sums(S)
+        R_before, R_tot = _prefix_sums(R)
 
-        lower = np.einsum("bnlpa,bnaq->bnlpq", Om, parts["Glow"])
-        lower = lower + np.swapaxes(lower, -1, -2)
+        A = np.einsum("bnjrj->br", R)
+        B1 = np.einsum("bnjy,bnxe->bjyxe", S, Gam_before)
+        B2 = np.einsum("bnjrx,bnxe->bjre", R, Gam_before)
+        C2 = np.einsum("bnjr,bnexr->bjex", S, R_before)
 
-        # Om Gup plus the sandwich term Y_N M Gup (Y_N Yinv_s Y_s = Y_N) is Z_N V Gup.
-        upper = np.einsum("bnlpa,bnaq->bnlpq", parts["ZNV"], parts["Gup"]) + np.einsum(
-            "bnpqr,bnrl->bnlpq", parts["Hup"], V
+        a_vec = np.einsum("bpxy,bxy->bp", ZN, Gam) - np.einsum("bpr,br->bp", YN, A)
+        a = np.einsum("bp,bpk->bk", a_vec, gi)
+
+        # Kernels K[j, p, q] of the s < t (b) and s >= t (c) parts of D gamma.
+        Kb = np.einsum("bpxy,bjyxe->bjpe", ZN, B1) - np.einsum("bpr,bjre->bjpe", YN, B2)
+        Kb = np.einsum("bjpe,bqe->bjpq", Kb, YN)
+        GG = np.einsum("bjy,bxe->bjyxe", Gam, Gam) - B1
+        GR = np.einsum("bjr,bexr->bjex", Gam, R_tot) - C2
+        Kc = np.einsum("bpxy,bjyxe,bqe->bjpq", ZN, GG, YN) - np.einsum(
+            "bpx,bqe,bjex->bjpq", YN, YN, GR
         )
-        upper = upper + np.swapaxes(upper, -1, -2)
-
-        VF = np.einsum("bnjl,bja->bnal", V, F)
-        b = dt * np.einsum("bnal,bnlaq,bqk->bk", VF, lower, gi)
-        c = dt * np.einsum("bnal,bnlaq,bqk->bk", VF, upper, gi)
+        b = np.einsum("bja,bjaq,bqk->bk", F, Kb + np.swapaxes(Kb, -1, -2), gi)
+        c = np.einsum("bja,bjaq,bqk->bk", F, Kc + np.swapaxes(Kc, -1, -2), gi)
 
         total = ito - a + b + c
     bad = bundle.singular | ~batch.valid

@@ -63,23 +63,24 @@ class TimeGrid:
         return TimeGrid(horizon=node * self.dt, steps=node)
 
 
-def _philox(seed: int, path_index: int) -> np.random.Generator:
-    key = np.array([seed, path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def sample_brownian_block(
     grid: TimeGrid, noise_dim: int, seed: int, first_path: int, n_paths: int
 ) -> np.ndarray:
     """Increments for paths [first_path, first_path + n_paths), shape (n, steps, d).
 
-    Row j comes from the stream keyed on (seed, first_path + j) alone, so it
-    is bit-identical to the single row drawn with first_path + j, n_paths=1.
+    Row j comes from the Philox stream keyed on (seed, first_path + j) alone,
+    so it is bit-identical to the single row drawn with first_path + j,
+    n_paths=1. One generator serves the block: its state is reset to the
+    fresh state under each row's key.
     """
     out = np.empty((n_paths, grid.steps, noise_dim))
     root = math.sqrt(grid.dt)
+    bits = np.random.Philox(key=np.array([seed, first_path], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state
     for j in range(n_paths):
-        gen = _philox(seed, first_path + j)
+        fresh["state"]["key"] = np.array([seed, first_path + j], dtype=np.uint64)
+        bits.state = fresh
         out[j] = gen.standard_normal((grid.steps, noise_dim))
     out *= root
     return out

@@ -416,6 +416,30 @@ class TestReverseSampler:
         reverse_time_sample(model, _ZeroScore(), TimeGrid(1.0, 32), 100, seed=3, x0=[0.5])
         assert len(calls) == 64
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the reverse step uses b - div(sigma sigma^T) + sigma s, not the "
+        "time-reversal drift -b + div(sigma sigma^T) + sigma sigma^T s",
+    )
+    def test_reverse_marginal_matches_forward_at_half_time(self):
+        # With the exact score, the reverse chain at t = T/2 must have the
+        # forward law there: OU variance sigma0^2 (1 - e^{-2 theta t}) / (2 theta).
+        # The collapse to x0 at t = 0 cannot tell the two drifts apart.
+        model = make_model("ornstein_uhlenbeck", {"theta": 1.0, "sigma0": 2.0})
+        exact = AnalyticScoreProvider(model, [0.0])
+        at_half = []
+
+        class Recording:
+            def score(self, t, x):
+                if math.isclose(t, 0.5):
+                    at_half.append(x.copy())
+                return exact.score(t, x)
+
+        reverse_time_sample(model, Recording(), TimeGrid(1.0, 64), 20_000, seed=57, x0=[0.0])
+        var = np.concatenate(at_half).var()
+        want = 2.0 * (1.0 - math.exp(-1.0))
+        assert abs(var / want - 1.0) < 0.05
+
     def test_table_backed_reverse_runs(self):
         # End-to-end: estimate tables on every node, then integrate back.
         # The nearest-neighbor window keeps tail nodes usable, so the wide

@@ -13,7 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pathscore.malliavin import _correction_arrays, compute_bundle_batch, skorokhod_batch
+from pathscore.malliavin import compute_bundle_batch, skorokhod_batch
 from pathscore.models import SdeModel, check_derivatives, make_model
 from pathscore.oracles import (
     covering_inner_product,
@@ -191,22 +191,6 @@ class TestCoveringFields:
 
 
 class TestNoiseDerivatives:
-    def test_two_code_paths_for_terminal_kernel_agree(self):
-        # The assembly derives Om from M as Z_N V - Y_N M; only the m = 2
-        # model with Z != 0 and dsigma != 0 tells the index order of Y_N M.
-        cases = [
-            ("state_dependent_tanh", [0.3]),
-            ("linear_multidim", [0.2, 0.1]),
-            ("sheared_tanh_2d", [0.3, -0.2]),
-        ]
-        for name, x0 in cases:
-            batch = _path(name, 24, 6, x0)
-            Om = _correction_arrays(batch, compute_bundle_batch(batch))["Om"]
-            for i in (0, 5, 23):
-                npt.assert_allclose(
-                    Om[0, i], dt_first_variation(batch, 0, i), rtol=1e-11, atol=1e-13
-                )
-
     def test_inverse_variation_derivative_is_causal(self):
         batch = _path("state_dependent_tanh", 24, 6, [0.3])
         assert np.all(dt_inverse_variation(batch, 0, 10, 4) == 0.0)
@@ -250,7 +234,7 @@ class TestNoiseDerivatives:
         ("bounded_nonlinear_drift", [0.5]),
         ("state_dependent_tanh", [0.3]),
         # The only case with m = 2, Z != 0 and dsigma != 0 at once, so the
-        # only one that tells the index order of the (d, m, m) kernels apart.
+        # only one that tells the index order of R_n and the per-path sums apart.
         ("sheared_tanh_2d", [0.3, -0.2]),
     ],
 )

@@ -92,6 +92,19 @@ class TestCounterBasedNoise:
             single = sample_brownian_block(g, 2, seed=3, first_path=40 + j, n_paths=1)
             assert np.array_equal(block[j], single[0])
 
+    @pytest.mark.parametrize(
+        "seed,first_path", [(3, 0), (20260814, 977), (1, 2**48), (7, 2**49 - 2)]
+    )
+    def test_rows_are_the_per_path_philox_streams(self, seed, first_path):
+        # The reference draws each row from its own generator keyed on
+        # (seed, path index), the contract that makes paths regenerable.
+        g = TimeGrid(horizon=0.5, steps=9)
+        block = sample_brownian_block(g, 2, seed=seed, first_path=first_path, n_paths=4)
+        for j in range(4):
+            key = np.array([seed, first_path + j], dtype=np.uint64)
+            ref = np.random.Generator(np.random.Philox(key=key)).standard_normal((9, 2))
+            assert np.array_equal(block[j], ref * np.sqrt(g.dt))
+
     def test_increment_scale(self):
         # Var of one increment is dt; 4096 draws pin the sample variance loosely.
         g = TimeGrid(horizon=1.0, steps=64)
