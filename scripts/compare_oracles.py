@@ -28,14 +28,14 @@ def main() -> None:
         model,
         grid,
         x0,
-        1.0,
+        [1.0],
         np.linspace(-1.8, 1.8, 25),
         args.paths,
         args.seed,
         workers=args.workers,
     )
     sol = fokker_planck_1d(model, 0.0, 1.0, -6.0, 6.0)
-    samples = harvest.X_t[harvest.valid]
+    samples = harvest.X_t[harvest.valid[:, 0], 0]
 
     print("y,score_pathwise,stderr,score_pde,score_kde,kde_stderr")
     for q in range(table.points.shape[0]):
@@ -43,7 +43,7 @@ def main() -> None:
         pde = float(sol.score_at(np.array([y]))[0])
         kde = kde_score(samples, np.array([y]))
         print(
-            f"{y!r},{float(table.scores[q, 0])!r},{float(table.stderr[q, 0])!r},"
+            f"{y!r},{float(table.scores[0, q, 0])!r},{float(table.stderr[0, q, 0])!r},"
             f"{pde!r},{float(kde.score[0])!r},{float(kde.stderr[0])!r}"
         )
 

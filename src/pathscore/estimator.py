@@ -4,11 +4,13 @@ The score at (t, y) is estimated as
 
   s_k(y) = -E[ delta_k | X_t = y ]
 
-where delta_k is the anticipating integral of the k-th covering field on the
-subgrid [0, t]. The conditional expectation uses Nadaraya-Watson weights with
-a Gaussian product kernel (bandwidth per dimension, Silverman by default) or
-an optional k-nearest-neighbor window. Standard errors come from the delta
-method for the weighted ratio.
+where delta_k is the anticipating integral of the k-th covering field with t
+as the terminal time. One simulation to the latest requested time yields
+delta at every requested time (skorokhod_batch reads it from running sums).
+The conditional expectation uses Nadaraya-Watson weights with a Gaussian
+product kernel (bandwidth per dimension, Silverman by default) or an optional
+k-nearest-neighbor window, fitted separately at each time. Standard errors
+come from the delta method for the weighted ratio.
 
 Path blocks are processed in fixed-size chunks whose size depends only on the
 model dimension, and every path draws its noise from a counter-based stream
@@ -18,13 +20,15 @@ worker count and chunk execution order.
 
 from __future__ import annotations
 
+import logging
 import math
 import multiprocessing
+import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .malliavin import compute_bundle_batch, skorokhod_batch
+from .malliavin import skorokhod_batch
 from .models import SdeModel, divergence_sigma_sigma_T
 from .paths import TimeGrid, euler_state_batch, sample_brownian_block, simulate_variation_batch
 
@@ -32,6 +36,9 @@ from .paths import TimeGrid, euler_state_batch, sample_brownian_block, simulate_
 # score-estimation paths at the same seed.
 REVERSE_TERMINAL_OFFSET = 2**48
 REVERSE_BACKWARD_OFFSET = 2**49
+
+# Stage timings, at INFO; the CLI prints them to stderr.
+log = logging.getLogger(__name__)
 
 
 class ScoreProviderGap(RuntimeError):
@@ -45,40 +52,51 @@ def chunk_size(m: int) -> int:
 
 @dataclass
 class PathHarvest:
-    """Raw per-path quantities of one chunk, or of all chunks merged."""
+    """Raw per-path quantities at each requested node.
 
-    X_t: np.ndarray  # (n, m) state at the evaluation node
+    Axis 0 runs over paths (chunks merged in index order), axis 1 over the
+    requested nodes. The exclusion causes are per-path masks: ``finite`` is
+    False once a path has left the finite domain by the node, and
+    ``singular`` marks finite paths whose gamma is near-singular there (or
+    whose integrals overflowed).
+    """
+
+    X_t: np.ndarray  # (n, K, m) state at each node
     ito: np.ndarray
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    total: np.ndarray  # (n, m) anticipating integrals per direction
-    valid: np.ndarray  # (n,)
-    cond: np.ndarray  # (n,)
-    n_sim_invalid: int
-    n_singular: int
+    total: np.ndarray  # (n, K, m) anticipating integrals per direction
+    cond: np.ndarray  # (n, K)
+    finite: np.ndarray  # (n, K)
+    singular: np.ndarray  # (n, K)
 
     @property
-    def n_excluded(self) -> int:
-        return int(np.sum(~self.valid))
+    def valid(self) -> np.ndarray:
+        return self.finite & ~self.singular
+
+    @property
+    def n_sim_invalid(self) -> np.ndarray:
+        """Paths excluded because the simulation left the finite domain, per node."""
+        return np.count_nonzero(~self.finite, axis=0)
+
+    @property
+    def n_singular(self) -> np.ndarray:
+        """Paths excluded for a near-singular gamma, per node."""
+        return np.count_nonzero(self.singular, axis=0)
+
+    @property
+    def n_excluded(self) -> np.ndarray:
+        return np.count_nonzero(~self.valid, axis=0)
 
 
-def _harvest_chunk(model, grid, x0, seed, lo, hi) -> PathHarvest:
+def _harvest_chunk(model, grid, x0, seed, nodes, lo, hi) -> PathHarvest:
     inc = sample_brownian_block(grid, model.d, seed, lo, hi - lo)
     batch = simulate_variation_batch(model, grid, inc, x0)
-    bundle = compute_bundle_batch(batch)
-    out = skorokhod_batch(batch, bundle)
-    return PathHarvest(
-        X_t=batch.X[:, -1],
-        **out,
-        valid=batch.valid & ~bundle.singular,
-        cond=bundle.cond,
-        n_sim_invalid=int(np.sum(~batch.valid)),
-        n_singular=int(np.sum(batch.valid & bundle.singular)),
-    )
+    return PathHarvest(X_t=batch.X[:, nodes], **skorokhod_batch(batch, nodes))
 
 
-# (model, grid, x0, seed) of the harvest that forked the worker pool.
+# (model, grid, x0, seed, nodes) of the harvest that forked the worker pool.
 _FORK_STATE: tuple | None = None
 
 
@@ -93,8 +111,15 @@ def harvest_paths(
     n_paths: int,
     seed: int,
     workers: int = 1,
+    nodes=None,
 ) -> PathHarvest:
-    """Simulate n_paths and collect terminal states plus integral breakdowns.
+    """Simulate n_paths once and collect states plus integral breakdowns at each node.
+
+    ``nodes`` are grid indices in [1, steps], in any order (default: the
+    last node); the harvest's node axis follows that order. The paths run
+    to the latest node only. A node's exclusions are those of a harvest on
+    the grid truncated there: a path that blows up after node n still counts
+    at n.
 
     Chunk boundaries depend only on (n_paths, model dimension); with
     workers > 1 the same chunks run in forked processes and are merged in
@@ -102,9 +127,12 @@ def harvest_paths(
     """
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
+    nodes = [grid.steps] if nodes is None else [int(n) for n in nodes]
+    if not nodes or min(nodes) < 1 or max(nodes) > grid.steps:
+        raise ValueError(f"nodes must lie in [1, {grid.steps}], got {nodes}")
     ch = chunk_size(model.m)
     chunks = [(lo, min(n_paths, lo + ch)) for lo in range(0, n_paths, ch)]
-    state = (model, grid, np.asarray(x0, dtype=float), seed)
+    state = (model, grid.truncated(max(nodes)), np.asarray(x0, dtype=float), seed, nodes)
     global _FORK_STATE
     if workers > 1 and len(chunks) > 1:
         _FORK_STATE = state
@@ -116,13 +144,9 @@ def harvest_paths(
             _FORK_STATE = None
     else:
         results = [_harvest_chunk(*state, lo, hi) for lo, hi in chunks]
-
-    # Per-path arrays concatenate in chunk order; counts add up.
-    merged = {}
-    for f in fields(PathHarvest):
-        vals = [getattr(r, f.name) for r in results]
-        merged[f.name] = np.concatenate(vals) if isinstance(vals[0], np.ndarray) else sum(vals)
-    return PathHarvest(**merged)
+    return PathHarvest(
+        **{f.name: np.concatenate([getattr(r, f.name) for r in results]) for f in fields(PathHarvest)}
+    )
 
 
 def silverman_bandwidth(X: np.ndarray) -> np.ndarray:
@@ -139,21 +163,22 @@ MIN_EFFECTIVE_SAMPLES = 5.0
 
 @dataclass
 class ScoreTable:
-    """Kernel-regression score estimates on a set of evaluation points.
+    """Kernel-regression score estimates at K times on one set of evaluation points.
 
-    scores[q, k] estimates the k-th partial of log density at points[q];
-    rows with effective sample size below MIN_EFFECTIVE_SAMPLES are flagged
-    and left nan rather than extrapolated.
+    scores[j, q, k] estimates the k-th partial of log density at time t[j]
+    and point points[q]; rows with effective sample size below
+    MIN_EFFECTIVE_SAMPLES are flagged and left nan rather than extrapolated.
+    A table read back from CSV holds one time.
     """
 
-    t: float
+    t: np.ndarray  # (K,)
     points: np.ndarray  # (Q, m)
-    scores: np.ndarray  # (Q, m)
-    stderr: np.ndarray  # (Q, m)
-    n_eff: np.ndarray  # (Q,)
-    flagged: np.ndarray  # (Q,) bool
-    bandwidth: np.ndarray | None
-    excluded: int
+    scores: np.ndarray  # (K, Q, m)
+    stderr: np.ndarray  # (K, Q, m)
+    n_eff: np.ndarray  # (K, Q)
+    flagged: np.ndarray  # (K, Q) bool
+    bandwidth: np.ndarray | None  # (K, m); None for k-NN windows
+    excluded: np.ndarray  # (K,) paths excluded at each time
 
 
 def _nw_tables(X, delta, points, h):
@@ -196,7 +221,7 @@ def estimate_score(
     model: SdeModel,
     grid: TimeGrid,
     x0,
-    t: float,
+    times,
     points,
     n_paths: int,
     seed: int,
@@ -204,18 +229,20 @@ def estimate_score(
     workers: int = 1,
     knn: int | None = None,
 ) -> tuple[ScoreTable, PathHarvest]:
-    """Monte Carlo score estimate at time t on the given evaluation points.
+    """Monte Carlo score estimates at each of the given times on the evaluation points.
 
-    t must lie on the grid (strictly after the first node); the simulation
-    runs on the truncated subgrid [0, t]. Returns the ScoreTable together
-    with the raw per-path harvest it was regressed from.
+    Each time must lie on the grid, strictly after the first node. One
+    harvest simulates the paths to the latest time and yields the
+    anticipating integrals at every time; the regression then runs per time.
+    Returns the ScoreTable, whose node axis follows ``times``, together with
+    the raw per-path harvest it was regressed from.
     """
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
-    node = grid.node_index(t)
-    if node < 1:
-        raise ValueError(f"t={t} is below the first grid node {grid.dt}")
-    subgrid = grid.truncated(node)
+    nodes = [grid.node_index(t) for t in times]
+    for t, node in zip(times, nodes):
+        if node < 1:
+            raise ValueError(f"t={t} is below the first grid node {grid.dt}")
 
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -223,36 +250,50 @@ def estimate_score(
     if points.ndim != 2 or points.shape[1] != model.m:
         raise ValueError(f"evaluation points must have shape (Q, {model.m})")
 
-    harvest = harvest_paths(model, subgrid, x0, n_paths, seed, workers=workers)
-    X = harvest.X_t[harvest.valid]
-    delta = harvest.total[harvest.valid]
-    if X.shape[0] < 100:
-        raise ValueError(f"only {X.shape[0]} valid paths survived; estimate unreliable")
-
     h = None
-    if knn is None:
-        if isinstance(bandwidth, str):
-            if bandwidth != "auto":
-                raise ValueError(f"bandwidth must be a positive number or 'auto', got {bandwidth!r}")
-            h = silverman_bandwidth(X)
-        else:
-            h = np.broadcast_to(np.asarray(bandwidth, dtype=float), (model.m,)).copy()
-            if not np.all(h > 0):
-                raise ValueError("bandwidth must be positive")
-        scores, stderr, n_eff = _nw_tables(X, delta, points, h)
-    else:
+    if knn is not None:
         if knn < MIN_EFFECTIVE_SAMPLES:
             raise ValueError(f"knn must be at least {int(MIN_EFFECTIVE_SAMPLES)}")
-        scores, stderr, n_eff = _knn_tables(X, delta, points, int(knn))
+    elif isinstance(bandwidth, str):
+        if bandwidth != "auto":
+            raise ValueError(f"bandwidth must be a positive number or 'auto', got {bandwidth!r}")
+    else:
+        h = np.broadcast_to(np.asarray(bandwidth, dtype=float), (model.m,)).copy()
+        if not np.all(h > 0):
+            raise ValueError("bandwidth must be positive")
+
+    t0 = time.perf_counter()
+    harvest = harvest_paths(model, grid, x0, n_paths, seed, workers=workers, nodes=nodes)
+    log.info("harvest to node %d: %.2fs", max(nodes), time.perf_counter() - t0)
+
+    K, Q, m = len(nodes), points.shape[0], model.m
+    scores = np.empty((K, Q, m))
+    stderr = np.empty((K, Q, m))
+    n_eff = np.empty((K, Q))
+    bws = np.empty((K, m))
+    for j, node in enumerate(nodes):
+        t0 = time.perf_counter()
+        ok = harvest.valid[:, j]
+        X, delta = harvest.X_t[ok, j], harvest.total[ok, j]
+        if X.shape[0] < 100:
+            raise ValueError(
+                f"only {X.shape[0]} valid paths survived at node {node}; estimate unreliable"
+            )
+        if knn is None:
+            bws[j] = silverman_bandwidth(X) if h is None else h
+            scores[j], stderr[j], n_eff[j] = _nw_tables(X, delta, points, bws[j])
+        else:
+            scores[j], stderr[j], n_eff[j] = _knn_tables(X, delta, points, int(knn))
+        log.info("node %d regression: %.2fs", node, time.perf_counter() - t0)
 
     table = ScoreTable(
-        t=node * grid.dt,
+        t=np.array(nodes) * grid.dt,
         points=points,
         scores=scores,
         stderr=stderr,
         n_eff=n_eff,
         flagged=n_eff < MIN_EFFECTIVE_SAMPLES,
-        bandwidth=h,
+        bandwidth=None if knn is not None else bws,
         excluded=harvest.n_excluded,
     )
     return table, harvest
@@ -263,16 +304,18 @@ def score_table_header(m: int) -> str:
     return f"t,{ys},k,score,stderr,n_eff,excluded"
 
 
-def write_score_csv(fh, table: ScoreTable) -> None:
-    """Long-format dump: one row per (evaluation point, direction)."""
+def write_score_csv(fh, table: ScoreTable, j: int) -> None:
+    """Long-format dump of time t[j]: one row per (evaluation point, direction)."""
     m = table.points.shape[1]
+    t, excluded = float(table.t[j]), int(table.excluded[j])
+    scores, stderr, n_eff = table.scores[j], table.stderr[j], table.n_eff[j]
     fh.write(score_table_header(m) + "\n")
     for q in range(table.points.shape[0]):
         ys = ",".join(repr(float(v)) for v in table.points[q])
         for k in range(m):
             fh.write(
-                f"{table.t!r},{ys},{k + 1},{float(table.scores[q, k])!r},"
-                f"{float(table.stderr[q, k])!r},{float(table.n_eff[q])!r},{table.excluded}\n"
+                f"{t!r},{ys},{k + 1},{float(scores[q, k])!r},"
+                f"{float(stderr[q, k])!r},{float(n_eff[q])!r},{excluded}\n"
             )
 
 
@@ -304,16 +347,15 @@ def read_score_csv(fh) -> ScoreTable:
             scores[q, k - 1] = s
             stderr[q, k - 1] = se
             n_eff[q] = ne
-    excluded = int(rows[0][-1])
     return ScoreTable(
-        t=t,
+        t=np.array([t]),
         points=points,
-        scores=scores,
-        stderr=stderr,
-        n_eff=n_eff,
-        flagged=n_eff < MIN_EFFECTIVE_SAMPLES,
+        scores=scores[None],
+        stderr=stderr[None],
+        n_eff=n_eff[None],
+        flagged=n_eff[None] < MIN_EFFECTIVE_SAMPLES,
         bandwidth=None,
-        excluded=excluded,
+        excluded=np.array([int(rows[0][-1])]),
     )
 
 
@@ -369,13 +411,16 @@ class AnalyticScoreProvider:
 
 
 class TableScoreProvider:
-    """Score lookups interpolated from per-node ScoreTables.
+    """Score lookups interpolated from one-time ScoreTables, keyed by node.
 
     Tables must cover every node the reverse loop visits; a missing node or
     a query outside a table's point hull aborts with the node named.
     """
 
     def __init__(self, tables: dict[int, ScoreTable], grid: TimeGrid):
+        for node, table in tables.items():
+            if table.t.shape != (1,):
+                raise ValueError(f"score table for node {node} holds {table.t.size} times, not one")
         self.grid = grid
         self.tables = dict(tables)
         self._interp: dict[int, object] = {}
@@ -383,10 +428,11 @@ class TableScoreProvider:
     def _build(self, node: int):
         table = self.tables[node]
         m = table.points.shape[1]
+        scores = table.scores[0]
         if m == 1:
             x = table.points[:, 0]
             order = np.argsort(x)
-            self._interp[node] = ("1d", x[order], table.scores[order])
+            self._interp[node] = ("1d", x[order], scores[order])
         else:
             from scipy.interpolate import RegularGridInterpolator
 
@@ -397,7 +443,7 @@ class TableScoreProvider:
                     f"score table at node {node} is not a full regular grid"
                 )
             order = np.lexsort(tuple(table.points[:, j] for j in reversed(range(m))))
-            grids = table.scores[order].reshape(shape + (m,))
+            grids = scores[order].reshape(shape + (m,))
             self._interp[node] = (
                 "nd",
                 RegularGridInterpolator(axes, grids, bounds_error=True),

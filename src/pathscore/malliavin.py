@@ -32,8 +32,9 @@ and R_<n = sum_{s<n} R_s:
   A_r = sum_n sum_j R_n[j, r, j],
   B1 = sum_n S_n (x) Gamma_<n,   B2 = sum_n R_n . Gamma_<n,   C2 = sum_n S_n . R_<n.
 
-Then ito = F^T P and a = gamma^{-T} (Z_N : Gamma - Y_N A), while b and c are
-F : sym(K) gamma^{-1}, with sym adding the transpose of K's last two indices:
+Then gamma = Y_N Gamma Y_N^T, ito = F^T P and a = gamma^{-T} (Z_N : Gamma - Y_N A),
+while b and c are F : sym(K) gamma^{-1}, with sym adding the transpose of K's
+last two indices:
 
   K_b = (Z_N : B1 - Y_N B2) Y_N^T
   K_c = Z_N : (Gamma (x) Gamma - B1) Y_N^T - (Y_N (x) Y_N) : (Gamma . R_tot - C2)
@@ -43,6 +44,13 @@ totals minus prefixes, so the assembly is O(N) per path; the direct O(N^2)
 per-node formulas it reproduces live with the oracles. K_c holds only because
 Yinv_s = Y_s^{-1} at the same node s; any other Yinv (say Y_{s+1}^{-1})
 changes the s >= t kernel, which must then be derived again.
+
+Nothing above depends on N being the last grid node: with any node n as the
+terminal time, the sums run over steps 0..n-1. skorokhod_batch therefore
+reads the seven sums at each requested node n as it walks the nodes in
+ascending order, adding one segment of steps at a time, and contracts them
+with (Y_n, Z_n) and gamma = Y_n Gamma Y_n^T. One simulation to the last
+requested node serves every earlier one.
 """
 
 from __future__ import annotations
@@ -77,36 +85,41 @@ class BundleBatch:
     singular: np.ndarray
 
 
-def _left_eval(batch: TrajectoryBatch, what: str) -> np.ndarray:
-    """Evaluate a model coefficient at all left nodes, shape (B, N, ...)."""
-    N = batch.grid.steps
-    t_left = batch.grid.nodes()[:N]
+def _left_eval(batch: TrajectoryBatch, what: str, steps: int) -> np.ndarray:
+    """Evaluate a model coefficient at the left nodes 0..steps-1, shape (B, steps, ...)."""
+    t_left = batch.grid.nodes()[:steps]
     fn = getattr(batch.model, what)
-    return fn(t_left[None, :], batch.X[:, :N])
+    return fn(t_left[None, :], batch.X[:, :steps])
 
 
-def compute_bundle_batch(batch: TrajectoryBatch) -> BundleBatch:
-    """Sensitivity tables, Gram matrix and its inverse for a block of paths."""
-    grid = batch.grid
-    N, m, dt = grid.steps, batch.model.m, grid.dt
-    YN = batch.Y[:, N]
+def _invert_gram(gamma: np.ndarray, usable: np.ndarray):
+    """Condition numbers, singular flags and inverses of a stack of Gram matrices.
 
-    sig_left = _left_eval(batch, "sigma")
-    V = np.einsum("bnij,bnjl->bnil", batch.Yinv[:, :N], sig_left)
-    W = np.einsum("bij,bnjl->bnil", YN, V)
-    gamma = dt * np.einsum("bnil,bnjl->bij", W, W)
-
-    finite = np.all(np.isfinite(gamma), axis=(1, 2)) & batch.valid
-    cond = np.full(batch.n_paths, np.inf)
+    A matrix is singular when its path is not usable, it is non-finite, or
+    its condition number is at or above COND_LIMIT; its inverse is nan.
+    """
+    finite = np.all(np.isfinite(gamma), axis=(1, 2)) & usable
+    cond = np.full(gamma.shape[0], np.inf)
     if np.any(finite):
         cond[finite] = np.linalg.cond(gamma[finite])
     singular = ~finite | ~np.isfinite(cond) | (cond >= COND_LIMIT)
 
     gamma_solve = gamma.copy()
-    gamma_solve[singular] = np.eye(m)
+    gamma_solve[singular] = np.eye(gamma.shape[-1])
     gamma_inv = np.linalg.inv(gamma_solve)
     gamma_inv[singular] = np.nan
+    return cond, singular, gamma_inv
 
+
+def compute_bundle_batch(batch: TrajectoryBatch) -> BundleBatch:
+    """Sensitivity tables, Gram matrix and its inverse for a block of paths."""
+    N, dt = batch.grid.steps, batch.grid.dt
+    YN = batch.Y[:, N]
+
+    V = np.einsum("bnij,bnjl->bnil", batch.Yinv[:, :N], _left_eval(batch, "sigma", N))
+    W = np.einsum("bij,bnjl->bnil", YN, V)
+    gamma = dt * np.einsum("bnil,bnjl->bij", W, W)
+    cond, singular, gamma_inv = _invert_gram(gamma, batch.valid)
     F = np.einsum("bji,bjk->bik", YN, gamma_inv)
     return BundleBatch(
         gamma=gamma,
@@ -119,64 +132,110 @@ def compute_bundle_batch(batch: TrajectoryBatch) -> BundleBatch:
     )
 
 
-def _prefix_sums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exclusive prefix sums over the step axis (axis 1), and the total."""
+def _exclusive_cumsum(a: np.ndarray) -> np.ndarray:
+    """Sums over the steps before n (axis 1), zero at n = 0."""
     before = np.zeros_like(a)
     np.cumsum(a[:, :-1], axis=1, out=before[:, 1:])
-    return before, before[:, -1] + a[:, -1]
+    return before
 
 
-def skorokhod_batch(batch: TrajectoryBatch, bundle: BundleBatch) -> dict:
-    """Anticipating integrals for all covering directions on a path block.
+def skorokhod_batch(batch: TrajectoryBatch, nodes=None) -> dict:
+    """Anticipating integrals for all covering directions, at each requested node.
 
-    Returns arrays of shape (B, m): ito, a, b, c, total with
-    total = ito - a + b + c. Entries for singular/invalid paths are nan.
-    The diffusion-derivative terms are skipped exactly when the model is
-    flagged ``state_independent_diffusion``.
+    ``nodes`` are grid indices in [1, N], in any order and possibly repeated;
+    the default is the last node N. Node n takes t_n as the terminal time,
+    using only the steps before it. The returned arrays carry a node axis in
+    the order of ``nodes``:
+
+      ito, a, b, c, total   (B, K, m), total = ito - a + b + c
+      cond                  (B, K) condition number of gamma at the node
+      finite                (B, K) the path is finite at every node up to n
+      singular              (B, K) finite, but gamma is near-singular at n
+                            (or an integral overflowed there)
+
+    The integrals of paths that are not finite or singular are nan. The
+    diffusion-derivative terms are skipped exactly when the model is flagged
+    ``state_independent_diffusion``, the second-variation terms when it is
+    flagged ``affine_coefficients``.
     """
-    grid = batch.grid
-    N, dt = grid.steps, grid.dt
-    gi, F, V = bundle.gamma_inv, bundle.F, bundle.V
-    Yinvl = batch.Yinv[:, :N]
-    YN, ZN = batch.Y[:, N], batch.Z[:, N]
+    grid, model = batch.grid, batch.model
+    dt, m, B = grid.dt, model.m, batch.n_paths
+    wanted = [grid.steps] if nodes is None else [int(n) for n in nodes]
+    if not wanted or min(wanted) < 1 or max(wanted) > grid.steps:
+        raise ValueError(f"nodes must lie in [1, {grid.steps}], got {nodes}")
+    walk, order = np.unique(wanted, return_inverse=True)
+    last = int(walk[-1])
+    Yinvl, dB = batch.Yinv[:, :last], batch.dB[:, :last]
+    finite = batch.finite_prefix()
 
-    # Invalid/singular paths carry nan or inf through the einsums and are
-    # masked below; silence the arithmetic warnings they would trigger.
+    # Paths that are not finite carry nan or inf through the einsums and are
+    # masked at each node; silence the arithmetic warnings they would trigger.
     with np.errstate(invalid="ignore", over="ignore"):
-        v_ito = np.einsum("bnil,bnl->bi", V, batch.dB)
-        ito = np.einsum("bik,bi->bk", F, v_ito)
-
         # Per-step tensors, dt included: S_n = V_n V_n^T and R_n = V_n M_n.
+        V = np.einsum("bnij,bnjl->bnil", Yinvl, _left_eval(batch, "sigma", last))
         S = dt * np.einsum("bnjl,bnql->bnjq", V, V)
-        R = np.einsum("bnri,bnieq,bnjq->bnjre", Yinvl, batch.Z[:, :N], S)
-        if not batch.model.state_independent_diffusion:
-            dsig = _left_eval(batch, "dsigma")
-            R -= dt * np.einsum("bnjl,bnri,bnlik,bnke->bnjre", V, Yinvl, dsig, batch.Y[:, :N])
+        if model.affine_coefficients:
+            R = np.zeros(S.shape[:2] + (m, m, m))
+        else:
+            R = np.einsum("bnri,bnieq,bnjq->bnjre", Yinvl, batch.Z[:, :last], S)
+        if not model.state_independent_diffusion:
+            dsig = _left_eval(batch, "dsigma", last)
+            R -= dt * np.einsum("bnjl,bnri,bnlik,bnke->bnjre", V, Yinvl, dsig, batch.Y[:, :last])
             del dsig
-        Gam_before, Gam = _prefix_sums(S)
-        R_before, R_tot = _prefix_sums(R)
+        Gam_before = _exclusive_cumsum(S)
+        R_before = _exclusive_cumsum(R)
 
-        A = np.einsum("bnjrj->br", R)
-        B1 = np.einsum("bnjy,bnxe->bjyxe", S, Gam_before)
-        B2 = np.einsum("bnjrx,bnxe->bjre", R, Gam_before)
-        C2 = np.einsum("bnjr,bnexr->bjex", S, R_before)
+        # Running sums over the steps before the current node.
+        P = np.zeros((B, m))
+        A = np.zeros((B, m))
+        B1 = np.zeros((B, m, m, m, m))
+        B2 = np.zeros((B, m, m, m))
+        C2 = np.zeros((B, m, m, m))
+        rows = []
+        lo = 0
+        for n in walk:
+            seg = slice(lo, n)
+            lo = n
+            P += np.einsum("bnil,bnl->bi", V[:, seg], dB[:, seg])
+            A += np.einsum("bnjrj->br", R[:, seg])
+            B1 += np.einsum("bnjy,bnxe->bjyxe", S[:, seg], Gam_before[:, seg])
+            B2 += np.einsum("bnjrx,bnxe->bjre", R[:, seg], Gam_before[:, seg])
+            C2 += np.einsum("bnjr,bnexr->bjex", S[:, seg], R_before[:, seg])
+            Gam = Gam_before[:, n - 1] + S[:, n - 1]
+            R_tot = R_before[:, n - 1] + R[:, n - 1]
+            rows.append(
+                _terms_at_node(batch.Y[:, n], batch.Z[:, n], finite[:, n], P, A, Gam, R_tot, B1, B2, C2)
+            )
+    return {key: np.stack([r[key] for r in rows], axis=1)[:, order] for key in rows[0]}
 
-        a_vec = np.einsum("bpxy,bxy->bp", ZN, Gam) - np.einsum("bpr,br->bp", YN, A)
-        a = np.einsum("bp,bpk->bk", a_vec, gi)
 
-        # Kernels K[j, p, q] of the s < t (b) and s >= t (c) parts of D gamma.
-        Kb = np.einsum("bpxy,bjyxe->bjpe", ZN, B1) - np.einsum("bpr,bjre->bjpe", YN, B2)
-        Kb = np.einsum("bjpe,bqe->bjpq", Kb, YN)
-        GG = np.einsum("bjy,bxe->bjyxe", Gam, Gam) - B1
-        GR = np.einsum("bjr,bexr->bjex", Gam, R_tot) - C2
-        Kc = np.einsum("bpxy,bjyxe,bqe->bjpq", ZN, GG, YN) - np.einsum(
-            "bpx,bqe,bjex->bjpq", YN, YN, GR
-        )
-        b = np.einsum("bja,bjaq,bqk->bk", F, Kb + np.swapaxes(Kb, -1, -2), gi)
-        c = np.einsum("bja,bjaq,bqk->bk", F, Kc + np.swapaxes(Kc, -1, -2), gi)
+def _terms_at_node(Yn, Zn, finite, P, A, Gam, R_tot, B1, B2, C2) -> dict:
+    """Contract the running sums with (Y_n, Z_n) and gamma at one node n."""
+    gamma = np.einsum("bpx,bxy,bqy->bpq", Yn, Gam, Yn)
+    cond, singular, gi = _invert_gram(gamma, finite)
+    F = np.einsum("bji,bjk->bik", Yn, gi)
+    ito = np.einsum("bik,bi->bk", F, P)
 
-        total = ito - a + b + c
-    bad = bundle.singular | ~batch.valid
+    a_vec = np.einsum("bpxy,bxy->bp", Zn, Gam) - np.einsum("bpr,br->bp", Yn, A)
+    a = np.einsum("bp,bpk->bk", a_vec, gi)
+
+    # Kernels K[j, p, q] of the s < t (b) and s >= t (c) parts of D gamma.
+    Kb = np.einsum("bpxy,bjyxe->bjpe", Zn, B1) - np.einsum("bpr,bjre->bjpe", Yn, B2)
+    Kb = np.einsum("bjpe,bqe->bjpq", Kb, Yn)
+    GG = np.einsum("bjy,bxe->bjyxe", Gam, Gam) - B1
+    GR = np.einsum("bjr,bexr->bjex", Gam, R_tot) - C2
+    Kc = np.einsum("bpxy,bjyxe,bqe->bjpq", Zn, GG, Yn) - np.einsum(
+        "bpx,bqe,bjex->bjpq", Yn, Yn, GR
+    )
+    b = np.einsum("bja,bjaq,bqk->bk", F, Kb + np.swapaxes(Kb, -1, -2), gi)
+    c = np.einsum("bja,bjaq,bqk->bk", F, Kc + np.swapaxes(Kc, -1, -2), gi)
+
+    total = ito - a + b + c
+    # On an extreme path a finite gamma can still leave an integral overflowed;
+    # such a path is excluded with the singular ones.
+    singular |= ~np.all(np.isfinite(total), axis=1)
     for arr in (ito, a, b, c, total):
-        arr[bad] = np.nan
-    return {"ito": ito, "a": a, "b": b, "c": c, "total": total}
+        arr[singular] = np.nan
+    return dict(
+        ito=ito, a=a, b=b, c=c, total=total, cond=cond, finite=finite, singular=singular & finite
+    )

@@ -40,6 +40,9 @@ class SdeModel:
     d2b: Callable
     d2sigma: Callable
     state_independent_diffusion: bool = False
+    # b and sigma are affine in x (d2b = d2sigma = 0), so the second
+    # variation Z stays 0 and its terms are skipped.
+    affine_coefficients: bool = False
 
 
 def _bcast(const: np.ndarray, x: np.ndarray, trailing: int) -> np.ndarray:
@@ -73,6 +76,7 @@ def ornstein_uhlenbeck(theta: float = 1.0, sigma0: float = 1.0) -> SdeModel:
         d2b=lambda t, x: _zeros_like_batch(x, (1, 1, 1)),
         d2sigma=lambda t, x: _zeros_like_batch(x, (1, 1, 1, 1)),
         state_independent_diffusion=True,
+        affine_coefficients=True,
     )
 
 
@@ -168,6 +172,7 @@ def linear_multidim(A=None, Sigma=None) -> SdeModel:
         d2b=lambda t, x: _zeros_like_batch(x, (m, m, m)),
         d2sigma=lambda t, x: _zeros_like_batch(x, (m, m, m, m)),
         state_independent_diffusion=True,
+        affine_coefficients=True,
     )
 
 

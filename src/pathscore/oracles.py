@@ -426,17 +426,17 @@ def duality_report(
 ) -> DualityReport:
     """Estimate the duality matrix and its distance from the identity in SEs."""
     harvest = harvest_paths(model, grid, x0, n_paths, seed, workers=workers)
-    ok = harvest.valid
+    ok = harvest.valid[:, 0]
     n_ok = int(ok.sum())
     if n_ok < 100:
         raise ValueError(f"only {n_ok} valid paths; duality estimate unreliable")
-    delta = harvest.total[ok]
-    X = harvest.X_t[ok]
+    delta = harvest.total[ok, 0]
+    X = harvest.X_t[ok, 0]
     prod = X[:, :, None] * delta[:, None, :]
     est = prod.mean(axis=0)
     se = prod.std(axis=0, ddof=1) / math.sqrt(n_ok)
     dev = np.abs(est - np.eye(model.m))
     max_z = float((dev / se).max())
     return DualityReport(
-        matrix=est, stderr=se, n_paths=n_paths, excluded=harvest.n_excluded, max_z=max_z
+        matrix=est, stderr=se, n_paths=n_paths, excluded=int(harvest.n_excluded[0]), max_z=max_z
     )

@@ -9,6 +9,7 @@ with shared increments:
 
 The inverse first variation Yinv_t = Y_t^{-1} is not simulated: it is
 computed from Y once the Euler loop is done, so Y_t Yinv_t = I to rounding.
+On a model flagged ``affine_coefficients`` Z stays at its zero start.
 
 Everything is vectorized over a leading batch-of-paths axis, and a single
 path is a row slice of a batch (TrajectoryBatch.take). Noise is
@@ -107,6 +108,10 @@ class TrajectoryBatch:
     def n_paths(self) -> int:
         return self.X.shape[0]
 
+    def finite_prefix(self) -> np.ndarray:
+        """(B, N+1) mask: the path is finite at every node up to and including n."""
+        return _finite_prefix(self.X, self.Y, self.Yinv, self.Z)
+
     def take(self, idx) -> "TrajectoryBatch":
         """The paths selected by ``idx`` (index list, slice or mask) as a batch."""
         return replace(
@@ -143,10 +148,9 @@ def simulate_variation_batch(
 
     X = np.empty((B, N + 1, m))
     Y = np.empty((B, N + 1, m, m))
-    Z = np.empty((B, N + 1, m, m, m))
+    Z = np.zeros((B, N + 1, m, m, m))
     X[:, 0] = x0
     Y[:, 0] = np.eye(m)
-    Z[:, 0] = 0.0
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(N):
@@ -159,8 +163,6 @@ def simulate_variation_batch(
             sig = model.sigma(t, x)
             db = model.db(t, x)
             dsig = model.dsigma(t, x)
-            d2b = model.d2b(t, x)
-            d2sig = model.d2sigma(t, x)
 
             X[:, n + 1] = x + b * dt + np.einsum("bil,bl->bi", sig, dW)
 
@@ -168,8 +170,12 @@ def simulate_variation_batch(
             dsY = np.einsum("blij,bjk->blik", dsig, y)
             Y[:, n + 1] = y + dbY * dt + np.einsum("blik,bl->bik", dsY, dW)
 
+            if model.affine_coefficients:
+                continue
             # dZ[i,j,k]: Hessian of the flow; both drift and noise have a
             # curvature term d2(coeff):(Y x Y) plus a linear transport term.
+            d2b = model.d2b(t, x)
+            d2sig = model.d2sigma(t, x)
             zdrift = np.einsum("bipq,bpj,bqk->bijk", d2b, y, y) + np.einsum(
                 "bir,brjk->bijk", db, z
             )
@@ -190,13 +196,18 @@ def simulate_variation_batch(
             ok[ok] = np.isfinite(det) & (det != 0.0)
             Yinv[ok] = np.linalg.inv(Y[ok])
 
-    valid = (
-        np.all(np.isfinite(X), axis=(1, 2))
-        & np.all(np.isfinite(Y), axis=(1, 2, 3))
-        & np.all(np.isfinite(Yinv), axis=(1, 2, 3))
-        & np.all(np.isfinite(Z), axis=(1, 2, 3, 4))
-    )
+    valid = _finite_prefix(X, Y, Yinv, Z)[:, -1]
     return TrajectoryBatch(model=model, grid=grid, X=X, Y=Y, Yinv=Yinv, Z=Z, dB=inc, valid=valid)
+
+
+def _finite_prefix(X, Y, Yinv, Z) -> np.ndarray:
+    finite = (
+        np.all(np.isfinite(X), axis=2)
+        & np.all(np.isfinite(Y), axis=(2, 3))
+        & np.all(np.isfinite(Yinv), axis=(2, 3))
+        & np.all(np.isfinite(Z), axis=(2, 3, 4))
+    )
+    return np.logical_and.accumulate(finite, axis=1)
 
 
 def euler_state_batch(model: SdeModel, grid: TimeGrid, increments: np.ndarray, x0) -> np.ndarray:

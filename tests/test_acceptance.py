@@ -63,11 +63,11 @@ def test_a1_linear_sde_score_exactness(announce):
     sg = math.sqrt(gamma)
     pts = np.array([0.0, sg, -sg, 2.0 * sg, -2.0 * sg])
     t0 = time.perf_counter()
-    tab, _ = estimate_score(model, GRID_256, [0.0], 1.0, pts, n_paths=100_000, seed=SEED)
+    tab, _ = estimate_score(model, GRID_256, [0.0], [1.0], pts, n_paths=100_000, seed=SEED)
     elapsed = time.perf_counter() - t0
     exact = -pts / gamma
-    dev = np.abs(tab.scores[:, 0] - exact)
-    limit = np.maximum(3.0 * tab.stderr[:, 0], 0.05)
+    dev = np.abs(tab.scores[0, :, 0] - exact)
+    limit = np.maximum(3.0 * tab.stderr[0, :, 0], 0.05)
     worst = float((dev / limit).max())
     ok = bool(np.all(dev <= limit)) and not tab.flagged.any() and elapsed <= 120.0
     announce(
@@ -224,8 +224,8 @@ def test_a5_corollary_equals_theorem(announce):
         batch = simulate_variation_batch(model, GRID_256, inc, x0)
         bundle = compute_bundle_batch(batch)
         flag_cleared = replace(batch, model=replace(model, state_independent_diffusion=False))
-        general = skorokhod_batch(flag_cleared, bundle)["total"]
-        corollary = skorokhod_batch(batch, bundle)["total"]
+        general = skorokhod_batch(flag_cleared)["total"][:, 0]
+        corollary = skorokhod_batch(batch)["total"][:, 0]
         usable = batch.valid & ~bundle.singular
         dev = np.abs(general - corollary)[usable]
         bound = (1e-12 * np.maximum(1.0, np.abs(general)))[usable]
@@ -242,24 +242,29 @@ def test_a5_corollary_equals_theorem(announce):
 
 def test_a6_nonlinear_end_to_end_score(announce):
     model = make_model("bounded_nonlinear_drift")
-    _, probe = estimate_score(model, GRID_256, [0.0], 1.0, np.array([0.0]), n_paths=2000, seed=1)
-    std_T = float(probe.X_t[probe.valid].std())
+    _, probe = estimate_score(
+        model, GRID_256, [0.0], [1.0], np.array([0.0]), n_paths=2000, seed=1
+    )
+    std_T = float(probe.X_t[probe.valid[:, 0], 0].std())
     ygrid = np.linspace(-2.0 * std_T, 2.0 * std_T, 21)
-    tab, harvest = estimate_score(model, GRID_256, [0.0], 1.0, ygrid, n_paths=100_000, seed=SEED)
+    tab, harvest = estimate_score(
+        model, GRID_256, [0.0], [1.0], ygrid, n_paths=100_000, seed=SEED
+    )
     assert not tab.flagged.any()
+    scores, stderr = tab.scores[0], tab.stderr[0]
 
     pde = fokker_planck_1d(model, 0.0, 1.0, -6.0, 6.0)
-    dev_pde = np.abs(tab.scores[:, 0] - pde.score_at(ygrid))
-    lim_pde = np.maximum(3.0 * tab.stderr[:, 0], 0.1)
+    dev_pde = np.abs(scores[:, 0] - pde.score_at(ygrid))
+    lim_pde = np.maximum(3.0 * stderr[:, 0], 0.1)
     ratio_pde = float((dev_pde / lim_pde).max())
 
-    samples = harvest.X_t[harvest.valid]
+    samples = harvest.X_t[harvest.valid[:, 0], 0]
     ratio_kde = 0.0
     for q in range(ygrid.size):
         k = kde_score(samples, ygrid[q : q + 1])
         assert k.reliable
-        dev = abs(tab.scores[q, 0] - k.score[0])
-        lim = max(3.0 * math.hypot(tab.stderr[q, 0], k.stderr[0]), 0.1)
+        dev = abs(scores[q, 0] - k.score[0])
+        lim = max(3.0 * math.hypot(stderr[q, 0], k.stderr[0]), 0.1)
         ratio_kde = max(ratio_kde, dev / lim)
     ok = ratio_pde <= 1.0 and ratio_kde <= 1.0
     announce(

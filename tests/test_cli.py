@@ -86,6 +86,22 @@ class TestScoreCommand:
         assert blobs[0] == blobs[1] == blobs[2]
 
 
+    def test_eval_times_in_any_order(self, tmp_path):
+        # One pass serves every node whatever the order or repeats of t_eval;
+        # files and summary lines follow the config.
+        runs = {}
+        for tag, t_eval in (("sorted", "[0.5, 1.0]"), ("mixed", "[1.0, 0.5, 1.0]")):
+            text = OU_SMALL.format(n_paths=500, extra="").replace("t_eval: [1.0]", f"t_eval: {t_eval}")
+            out = tmp_path / tag
+            assert _run(["score", "--config", _write(tmp_path, text, f"{tag}.yaml"), "--out", str(out)]) == 0
+            runs[tag] = out
+        for name in ("score_n0008.csv", "score_n0016.csv"):
+            assert (runs["mixed"] / name).read_bytes() == (runs["sorted"] / name).read_bytes()
+        summary = (runs["mixed"] / "summary.txt").read_text()
+        lines = [line.split(" (t=")[0].strip() for line in summary.splitlines() if "file score_n" in line]
+        assert lines == ["node 16", "node 8", "node 16"]
+
+
 class TestSimulateCommand:
     def test_trajectory_dump(self, tmp_path):
         cfg = _write(
@@ -302,6 +318,17 @@ class TestErrorPaths:
         )
         self._expect_config_error(
             ["score", "--config", cfg, "--out", str(tmp_path / "o")], capsys, "not a grid node"
+        )
+
+    def test_eval_time_at_start_refused(self, tmp_path, capsys):
+        cfg = _write(
+            tmp_path,
+            OU_SMALL.format(n_paths=200, extra="").replace("t_eval: [1.0]", "t_eval: [1.0, 0.0]"),
+        )
+        self._expect_config_error(
+            ["score", "--config", cfg, "--out", str(tmp_path / "o")],
+            capsys,
+            "t=0.0 is below the first grid node 0.0625",
         )
 
     def test_score_without_eval_times(self, tmp_path, capsys):

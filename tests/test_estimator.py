@@ -7,7 +7,7 @@ at those seeds.
 
 import io
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +16,7 @@ import pytest
 from pathscore.estimator import (
     MIN_EFFECTIVE_SAMPLES,
     AnalyticScoreProvider,
+    PathHarvest,
     ScoreProviderGap,
     ScoreTable,
     TableScoreProvider,
@@ -93,19 +94,22 @@ class TestKernelRegression:
 
 class TestHarvest:
     def test_worker_count_does_not_change_bits(self):
-        model = make_model("ornstein_uhlenbeck")
+        # 6000 paths are two chunks, so workers=2 forks; the workers must
+        # get the nodes with the rest of the harvest's state.
+        model = make_model("state_dependent_tanh")
         grid = TimeGrid(horizon=1.0, steps=32)
-        a = harvest_paths(model, grid, [0.0], 6000, seed=5, workers=1)
-        b = harvest_paths(model, grid, [0.0], 6000, seed=5, workers=2)
-        for field in ("X_t", "ito", "a", "b", "c", "total", "valid", "cond"):
-            npt.assert_array_equal(getattr(a, field), getattr(b, field))
-        assert a.n_sim_invalid == b.n_sim_invalid
-        assert a.n_singular == b.n_singular
+        nodes = [32, 8, 16]
+        a = harvest_paths(model, grid, [0.0], 6000, seed=5, workers=1, nodes=nodes)
+        b = harvest_paths(model, grid, [0.0], 6000, seed=5, workers=2, nodes=nodes)
+        assert a.X_t.shape == (6000, 3, 1)
+        for field in fields(PathHarvest):
+            npt.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
 
     def test_breakdown_identity_and_linear_shortcut(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=32)
         h = harvest_paths(model, grid, [0.0], 500, seed=4)
+        assert h.total.shape == (500, 1, 1)
         assert np.all(h.valid)
         npt.assert_array_equal(h.total, h.ito - h.a + h.b + h.c)
         assert np.all(h.a == 0.0) and np.all(h.b == 0.0) and np.all(h.c == 0.0)
@@ -117,7 +121,7 @@ class TestHarvest:
         # instead of inverting Y raises it to +3.16%.
         model = make_model("ornstein_uhlenbeck", {"theta": 1.0, "sigma0": 1.0})
         h = harvest_paths(model, TimeGrid(1.0, 32), [0.5], 40_000, seed=20260814)
-        x, delta = h.X_t[:, 0], h.total[:, 0]
+        x, delta = h.X_t[:, 0, 0], h.total[:, 0, 0]
         slope = np.cov(x, delta)[0, 1] / np.var(x, ddof=1)
         v = (1.0 - math.exp(-2.0)) / 2.0
         assert abs(slope * v - 1.0) < 0.02
@@ -136,80 +140,82 @@ class TestEstimateScore:
     def test_linear_reference_value(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=256)
-        table, _ = estimate_score(model, grid, [0.0], 1.0, [[0.5]], 20000, seed=101)
-        got = table.scores[0, 0]
-        se = table.stderr[0, 0]
+        table, _ = estimate_score(model, grid, [0.0], [1.0], [[0.5]], 20000, seed=101)
+        got = table.scores[0, 0, 0]
+        se = table.stderr[0, 0, 0]
         assert abs(got - OU_SCORE_AT_HALF) < max(4 * se, 0.03)
-        assert table.t == 1.0
-        assert not table.flagged[0]
-        assert table.excluded == 0
+        assert table.t.tolist() == [1.0]
+        assert not table.flagged.any()
+        assert table.excluded.tolist() == [0]
 
     def test_stderr_shrinks_with_more_paths(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=64)
-        small, _ = estimate_score(model, grid, [0.0], 1.0, [[0.0]], 2000, seed=7, bandwidth=0.25)
-        big, _ = estimate_score(model, grid, [0.0], 1.0, [[0.0]], 8000, seed=7, bandwidth=0.25)
-        ratio = small.stderr[0, 0] / big.stderr[0, 0]
+        small, _ = estimate_score(model, grid, [0.0], [1.0], [[0.0]], 2000, seed=7, bandwidth=0.25)
+        big, _ = estimate_score(model, grid, [0.0], [1.0], [[0.0]], 8000, seed=7, bandwidth=0.25)
+        ratio = small.stderr[0, 0, 0] / big.stderr[0, 0, 0]
         assert 1.6 < ratio < 2.4  # 4x paths -> roughly half the error
 
     def test_shrinking_bandwidth_costs_effective_samples(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=64)
         pts = [[-0.5], [0.0], [0.5]]
-        wide, _ = estimate_score(model, grid, [0.0], 1.0, pts, 5000, seed=7, bandwidth=0.3)
-        narrow, _ = estimate_score(model, grid, [0.0], 1.0, pts, 5000, seed=7, bandwidth=0.15)
+        wide, _ = estimate_score(model, grid, [0.0], [1.0], pts, 5000, seed=7, bandwidth=0.3)
+        narrow, _ = estimate_score(model, grid, [0.0], [1.0], pts, 5000, seed=7, bandwidth=0.15)
         assert np.all(narrow.n_eff < wide.n_eff)
         # For linear dynamics the integral is a function of the endpoint, so
         # the kernel residuals scale with the window and the pointwise error
         # *drops* roughly like sqrt(h) as the window shrinks.
-        ratio = narrow.stderr[1, 0] / wide.stderr[1, 0]
+        ratio = narrow.stderr[0, 1, 0] / wide.stderr[0, 1, 0]
         assert 0.5 < ratio < 0.95
 
     def test_evaluation_time_must_sit_on_grid(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=16)
         with pytest.raises(ValueError, match="not a grid node"):
-            estimate_score(model, grid, [0.0], 0.7, [[0.0]], 200, seed=0)
+            estimate_score(model, grid, [0.0], [0.7], [[0.0]], 200, seed=0)
         with pytest.raises(ValueError, match="below the first"):
-            estimate_score(model, grid, [0.0], 0.0, [[0.0]], 200, seed=0)
+            estimate_score(model, grid, [0.0], [1.0, 0.0], [[0.0]], 200, seed=0)
 
     def test_input_validation(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=16)
         with pytest.raises(ValueError, match="at least 100 paths"):
-            estimate_score(model, grid, [0.0], 1.0, [[0.0]], 50, seed=0)
+            estimate_score(model, grid, [0.0], [1.0], [[0.0]], 50, seed=0)
         with pytest.raises(ValueError, match="shape"):
-            estimate_score(model, grid, [0.0], 1.0, np.zeros((3, 2)), 200, seed=0)
+            estimate_score(model, grid, [0.0], [1.0], np.zeros((3, 2)), 200, seed=0)
         with pytest.raises(ValueError, match="bandwidth"):
-            estimate_score(model, grid, [0.0], 1.0, [[0.0]], 200, seed=0, bandwidth="wide")
+            estimate_score(model, grid, [0.0], [1.0], [[0.0]], 200, seed=0, bandwidth="wide")
         with pytest.raises(ValueError, match="bandwidth"):
-            estimate_score(model, grid, [0.0], 1.0, [[0.0]], 200, seed=0, bandwidth=-0.1)
+            estimate_score(model, grid, [0.0], [1.0], [[0.0]], 200, seed=0, bandwidth=-0.1)
         with pytest.raises(ValueError, match="knn"):
-            estimate_score(model, grid, [0.0], 1.0, [[0.0]], 200, seed=0, knn=2)
+            estimate_score(model, grid, [0.0], [1.0], [[0.0]], 200, seed=0, knn=2)
 
     def test_nearest_neighbor_window(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=64)
-        table, _ = estimate_score(model, grid, [0.0], 1.0, [[0.0]], 3000, seed=8, knn=200)
+        table, _ = estimate_score(model, grid, [0.0], [1.0], [[0.0]], 3000, seed=8, knn=200)
         assert np.all(table.n_eff == 200.0)
-        assert abs(table.scores[0, 0]) < 0.2  # score at the mean is zero
+        assert table.bandwidth is None
+        assert abs(table.scores[0, 0, 0]) < 0.2  # score at the mean is zero
 
     def test_tail_points_flagged_not_extrapolated(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=64)
         table, _ = estimate_score(
-            model, grid, [0.0], 1.0, [[0.0], [40.0]], 2000, seed=3, bandwidth=0.2
+            model, grid, [0.0], [1.0], [[0.0], [40.0]], 2000, seed=3, bandwidth=0.2
         )
-        assert not table.flagged[0]
-        assert table.flagged[1]
-        assert np.isnan(table.scores[1, 0])
+        assert table.flagged.tolist() == [[False, True]]
+        assert np.isnan(table.scores[0, 1, 0])
 
     def test_harvest_return_is_consistent(self):
         model = make_model("bounded_nonlinear_drift")
         grid = TimeGrid(horizon=1.0, steps=32)
-        table, harvest = estimate_score(model, grid, [0.0], 1.0, [[0.0]], 500, seed=2)
-        assert harvest.X_t.shape == (500, 1)
-        assert table.excluded == harvest.n_excluded
+        table, harvest = estimate_score(model, grid, [0.0], [1.0, 0.5], [[0.0]], 500, seed=2)
+        assert harvest.X_t.shape == (500, 2, 1)
+        assert table.scores.shape == (2, 1, 1)
+        npt.assert_array_equal(table.t, [1.0, 0.5])
+        npt.assert_array_equal(table.excluded, harvest.n_excluded)
 
 
 class TestScoreCsv:
@@ -225,29 +231,32 @@ class TestScoreCsv:
         rng = np.random.default_rng(1)
         Q = points.shape[0]
         return ScoreTable(
-            t=0.5,
+            t=np.array([0.25, 0.5]),
             points=points,
-            scores=rng.normal(size=(Q, m)),
-            stderr=np.abs(rng.normal(size=(Q, m))),
-            n_eff=np.full(Q, 37.5),
-            flagged=np.zeros(Q, dtype=bool),
-            bandwidth=np.full(m, 0.2),
-            excluded=3,
+            scores=rng.normal(size=(2, Q, m)),
+            stderr=np.abs(rng.normal(size=(2, Q, m))),
+            n_eff=np.array([np.full(Q, 12.5), np.full(Q, 37.5)]),
+            flagged=np.zeros((2, Q), dtype=bool),
+            bandwidth=np.full((2, m), 0.2),
+            excluded=np.array([1, 3]),
         )
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_roundtrip_is_exact(self, m):
+        # Each time of a table is written on its own and read back as a
+        # one-time table.
         table = self._table(m)
-        buf = io.StringIO()
-        write_score_csv(buf, table)
-        buf.seek(0)
-        back = read_score_csv(buf)
-        npt.assert_array_equal(back.points, table.points)
-        npt.assert_array_equal(back.scores, table.scores)
-        npt.assert_array_equal(back.stderr, table.stderr)
-        npt.assert_array_equal(back.n_eff, table.n_eff)
-        assert back.t == table.t
-        assert back.excluded == table.excluded
+        for j in range(2):
+            buf = io.StringIO()
+            write_score_csv(buf, table, j)
+            buf.seek(0)
+            back = read_score_csv(buf)
+            npt.assert_array_equal(back.points, table.points)
+            npt.assert_array_equal(back.scores, table.scores[j : j + 1])
+            npt.assert_array_equal(back.stderr, table.stderr[j : j + 1])
+            npt.assert_array_equal(back.n_eff, table.n_eff[j : j + 1])
+            npt.assert_array_equal(back.t, table.t[j : j + 1])
+            npt.assert_array_equal(back.excluded, table.excluded[j : j + 1])
 
     def test_read_rejects_malformed_header(self):
         with pytest.raises(ScoreProviderGap, match="malformed"):
@@ -304,22 +313,28 @@ class TestTableProvider:
 
     def _table1d(self, scores, node=4):
         points = np.array([[-2.0], [0.0], [2.0]])
-        s = np.asarray(scores, dtype=float).reshape(3, 1)
+        s = np.asarray(scores, dtype=float).reshape(1, 3, 1)
         return ScoreTable(
-            t=node * 0.25,
+            t=np.array([node * 0.25]),
             points=points,
             scores=s,
-            stderr=np.zeros((3, 1)),
-            n_eff=np.full(3, 100.0),
-            flagged=np.zeros(3, dtype=bool),
+            stderr=np.zeros((1, 3, 1)),
+            n_eff=np.full((1, 3), 100.0),
+            flagged=np.zeros((1, 3), dtype=bool),
             bandwidth=None,
-            excluded=0,
+            excluded=np.array([0]),
         )
 
     def test_linear_interpolation_is_exact_for_linear_tables(self):
         provider = TableScoreProvider({4: self._table1d([-2.0, 0.0, 2.0])}, self._grid())
         out = provider.score(1.0, np.array([[1.0], [-0.5]]))
         npt.assert_allclose(out, [[1.0], [-0.5]], rtol=1e-15)
+
+    def test_multi_time_table_refused(self):
+        table = self._table1d([0, 0, 0])
+        two = replace(table, t=np.array([0.5, 1.0]), scores=np.zeros((2, 3, 1)))
+        with pytest.raises(ValueError, match="not one"):
+            TableScoreProvider({4: two}, self._grid())
 
     def test_missing_node_named(self):
         provider = TableScoreProvider({4: self._table1d([0, 0, 0])}, self._grid())
@@ -346,14 +361,14 @@ class TestTableProvider:
         )
         Q = points.shape[0]
         return ScoreTable(
-            t=1.0,
+            t=np.array([1.0]),
             points=points,
-            scores=scores,
-            stderr=np.zeros((Q, 2)),
-            n_eff=np.full(Q, 50.0),
-            flagged=np.zeros(Q, dtype=bool),
+            scores=scores[None],
+            stderr=np.zeros((1, Q, 2)),
+            n_eff=np.full((1, Q), 50.0),
+            flagged=np.zeros((1, Q), dtype=bool),
             bandwidth=None,
-            excluded=0,
+            excluded=np.array([0]),
         )
 
     def test_two_dim_interpolation(self):
@@ -450,7 +465,7 @@ class TestReverseSampler:
         tables = {}
         for node in range(1, 9):
             tables[node], _ = estimate_score(
-                model, grid, [0.0], node * grid.dt, pts, 2000, seed=60 + node, knn=100
+                model, grid, [0.0], [node * grid.dt], pts, 2000, seed=60 + node, knn=100
             )
         provider = TableScoreProvider(tables, grid)
         out = reverse_time_sample(model, provider, grid, 500, seed=77, x0=[0.0])

@@ -13,6 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from pathscore.estimator import harvest_paths
 from pathscore.malliavin import compute_bundle_batch, skorokhod_batch
 from pathscore.models import SdeModel, check_derivatives, make_model
 from pathscore.oracles import (
@@ -71,6 +72,27 @@ def _sheared_tanh_2d():
     return SdeModel("sheared_tanh_2d", 2, 2, {}, b, sigma, db, dsigma, d2b, d2sigma)
 
 
+def _explosive():
+    """dX = X^2 dt + dB: from x0 = 0.6 over [0, 2], many paths overflow."""
+
+    def const(x, value, *shape):
+        return np.broadcast_to(np.full(shape, value), x.shape[:-1] + shape)
+
+    return SdeModel(
+        "explosive",
+        1,
+        1,
+        {},
+        b=lambda t, x: x * x,
+        sigma=lambda t, x: const(x, 1.0, 1, 1),
+        db=lambda t, x: (2.0 * x)[..., None],
+        dsigma=lambda t, x: const(x, 0.0, 1, 1, 1),
+        d2b=lambda t, x: const(x, 2.0, 1, 1, 1),
+        d2sigma=lambda t, x: const(x, 0.0, 1, 1, 1, 1),
+        state_independent_diffusion=True,
+    )
+
+
 def _path(name, steps, seed, x0, params=None, path_index=0):
     """One simulated path, as a batch of one."""
     model = _sheared_tanh_2d() if name == "sheared_tanh_2d" else make_model(name, params)
@@ -79,9 +101,26 @@ def _path(name, steps, seed, x0, params=None, path_index=0):
     return simulate_variation_batch(model, grid, inc, x0=x0)
 
 
+TERMS = ("ito", "a", "b", "c", "total")
+
+
 def _flag_cleared(batch):
     """The same paths under a model that asks for the general assembly."""
     return replace(batch, model=replace(batch.model, state_independent_diffusion=False))
+
+
+def _truncated(batch, n):
+    """The same paths cut at node n, on the grid [0, t_n]."""
+    return replace(
+        batch,
+        grid=batch.grid.truncated(n),
+        X=batch.X[:, : n + 1],
+        Y=batch.Y[:, : n + 1],
+        Yinv=batch.Yinv[:, : n + 1],
+        Z=batch.Z[:, : n + 1],
+        dB=batch.dB[:, :n],
+        valid=batch.finite_prefix()[:, n],
+    )
 
 
 def _left_sigma(batch):
@@ -116,8 +155,8 @@ class TestBundle:
         npt.assert_allclose(batch.Y[0, :, 0, 0], Y_ref, rtol=1e-13)
         bundle = compute_bundle_batch(batch)
         npt.assert_allclose(bundle.gamma[0, 0, 0], gamma_ref, rtol=1e-12)
-        out = skorokhod_batch(batch, bundle)
-        npt.assert_allclose(out["total"][0, 0], ito_ref, rtol=1e-12)
+        out = skorokhod_batch(batch)
+        npt.assert_allclose(out["total"][0, 0, 0], ito_ref, rtol=1e-12)
 
     def test_terminal_row_of_sensitivity_table(self):
         batch = _path("state_dependent_tanh", 32, 5, [0.2])
@@ -151,12 +190,13 @@ class TestBundle:
         batch = _path("ornstein_uhlenbeck", 16, 1, [0.5], params={"sigma0": 0.0})
         with np.errstate(invalid="ignore", divide="ignore"):
             bundle = compute_bundle_batch(batch)
-            out = skorokhod_batch(batch, bundle)
+            out = skorokhod_batch(batch, [8, 16])
             with pytest.raises(ValueError, match="near-singular"):
                 covering_inner_product(batch, 0, 0, 0)
         assert bundle.singular[0]
         assert np.all(np.isnan(bundle.gamma_inv))
-        assert all(np.all(np.isnan(v)) for v in out.values())
+        assert np.all(out["finite"]) and np.all(out["singular"])
+        assert all(np.all(np.isnan(out[key])) for key in TERMS)
 
     def test_blown_up_path_refused_for_integrals(self):
         model = make_model("ornstein_uhlenbeck", {"theta": 600.0})
@@ -167,7 +207,8 @@ class TestBundle:
         with np.errstate(invalid="ignore"):
             bundle = compute_bundle_batch(batch)
         assert bundle.singular[0]
-        out = skorokhod_batch(batch, bundle)
+        out = skorokhod_batch(batch)
+        assert not out["finite"][0, 0] and not out["singular"][0, 0]
         assert np.all(np.isnan(out["total"]))
 
 
@@ -239,36 +280,42 @@ class TestNoiseDerivatives:
     ],
 )
 def test_factored_corrections_match_direct_formulas(name, x0):
-    """The O(N) assembly must reproduce per-node evaluation of every term."""
+    """The O(N) assembly must reproduce per-node evaluation of every term.
+
+    The assembly reads both nodes from one pass; the direct formulas take
+    each node n as the terminal time, on the path cut there.
+    """
     batch = _path(name, 16, 42, x0)
     assert check_derivatives(batch.model).ok
-    bundle = compute_bundle_batch(batch)
-    out = skorokhod_batch(batch, bundle)
+    nodes = [9, batch.grid.steps]
+    out = skorokhod_batch(batch, nodes)
+    for j, n in enumerate(nodes):
+        cut = _truncated(batch, n)
+        bundle = compute_bundle_batch(cut)
+        dt = cut.grid.dt
+        gi, F = bundle.gamma_inv[0], bundle.F[0]
+        V = np.einsum("nij,njl->nil", cut.Yinv[0, :n], _left_sigma(cut))
 
-    N, dt = batch.grid.steps, batch.grid.dt
-    gi, F = bundle.gamma_inv[0], bundle.F[0]
-    V = np.einsum("nij,njl->nil", batch.Yinv[0, :N], _left_sigma(batch))
+        a_direct = np.zeros(batch.model.m)
+        b_direct = np.zeros(batch.model.m)
+        c_direct = np.zeros(batch.model.m)
+        for s in range(n):
+            Om = dt_first_variation(cut, 0, s)
+            a_direct += dt * np.einsum("jl,lpj,pk->k", V[s], Om, gi)
+            lower, upper = dt_gamma_split(cut, 0, s)
+            u_all = np.einsum("jl,ja->al", V[s], F)
+            b_direct += dt * np.einsum("al,laq,qk->k", u_all, lower, gi)
+            c_direct += dt * np.einsum("al,laq,qk->k", u_all, upper, gi)
 
-    a_direct = np.zeros(batch.model.m)
-    b_direct = np.zeros(batch.model.m)
-    c_direct = np.zeros(batch.model.m)
-    for n in range(N):
-        Om = dt_first_variation(batch, 0, n)
-        a_direct += dt * np.einsum("jl,lpj,pk->k", V[n], Om, gi)
-        lower, upper = dt_gamma_split(batch, 0, n)
-        u_all = np.einsum("jl,ja->al", V[n], F)
-        b_direct += dt * np.einsum("al,laq,qk->k", u_all, lower, gi)
-        c_direct += dt * np.einsum("al,laq,qk->k", u_all, upper, gi)
-
-    npt.assert_allclose(out["a"][0], a_direct, rtol=1e-10, atol=1e-13)
-    npt.assert_allclose(out["b"][0], b_direct, rtol=1e-10, atol=1e-13)
-    npt.assert_allclose(out["c"][0], c_direct, rtol=1e-10, atol=1e-13)
-    npt.assert_allclose(
-        out["total"][0],
-        out["ito"][0] - a_direct + b_direct + c_direct,
-        rtol=1e-9,
-        atol=1e-12,
-    )
+        npt.assert_allclose(out["a"][0, j], a_direct, rtol=1e-10, atol=1e-13)
+        npt.assert_allclose(out["b"][0, j], b_direct, rtol=1e-10, atol=1e-13)
+        npt.assert_allclose(out["c"][0, j], c_direct, rtol=1e-10, atol=1e-13)
+        npt.assert_allclose(
+            out["total"][0, j],
+            out["ito"][0, j] - a_direct + b_direct + c_direct,
+            rtol=1e-9,
+            atol=1e-12,
+        )
 
 
 class TestIntegralStructure:
@@ -279,8 +326,7 @@ class TestIntegralStructure:
         grid = TimeGrid(horizon=1.0, steps=32)
         inc = sample_brownian_block(grid, model.d, seed=14, first_path=0, n_paths=8)
         batch = simulate_variation_batch(model, grid, inc, x0=np.zeros(model.m))
-        bb = compute_bundle_batch(batch)
-        out = skorokhod_batch(batch, bb)
+        out = skorokhod_batch(batch, [8, 32])
         assert np.all(out["a"] == 0.0)
         assert np.all(out["b"] == 0.0)
         assert np.all(out["c"] == 0.0)
@@ -288,18 +334,17 @@ class TestIntegralStructure:
 
     def test_drift_curvature_produces_corrections(self):
         batch = _path("bounded_nonlinear_drift", 32, 15, [0.5])
-        out = skorokhod_batch(batch, compute_bundle_batch(batch))
-        assert out["a"][0, 0] != 0.0
+        out = skorokhod_batch(batch)
+        assert out["a"][0, 0, 0] != 0.0
 
     def test_pruned_and_general_assembly_agree_when_noise_is_flat(self):
         model = make_model("bounded_nonlinear_drift")
         grid = TimeGrid(horizon=1.0, steps=64)
         inc = sample_brownian_block(grid, 1, seed=16, first_path=0, n_paths=16)
         batch = simulate_variation_batch(model, grid, inc, x0=[0.0])
-        bb = compute_bundle_batch(batch)
-        general = skorokhod_batch(_flag_cleared(batch), bb)
-        reduced = skorokhod_batch(batch, bb)
-        for key in ("ito", "a", "b", "c", "total"):
+        general = skorokhod_batch(_flag_cleared(batch), [16, 64])
+        reduced = skorokhod_batch(batch, [16, 64])
+        for key in TERMS:
             npt.assert_array_equal(general[key], reduced[key])
 
     def test_single_path_breakdown_consistency(self):
@@ -307,12 +352,11 @@ class TestIntegralStructure:
         grid = TimeGrid(horizon=1.0, steps=32)
         inc = sample_brownian_block(grid, 1, 17, 0, 8)
         one = simulate_variation_batch(model, grid, inc, [0.2]).take([5])
-        bundle = compute_bundle_batch(one)
-        general = skorokhod_batch(_flag_cleared(one), bundle)
-        reduced = skorokhod_batch(one, bundle)
-        assert general["total"][0, 0] == reduced["total"][0, 0]
-        ito, a, b, c = (general[key][0, 0] for key in ("ito", "a", "b", "c"))
-        assert general["total"][0, 0] == pytest.approx(ito - a + b + c, rel=1e-12)
+        general = skorokhod_batch(_flag_cleared(one))
+        reduced = skorokhod_batch(one)
+        assert general["total"][0, 0, 0] == reduced["total"][0, 0, 0]
+        ito, a, b, c = (general[key][0, 0, 0] for key in ("ito", "a", "b", "c"))
+        assert general["total"][0, 0, 0] == pytest.approx(ito - a + b + c, rel=1e-12)
 
     def test_flag_decides_whether_dsigma_is_evaluated(self):
         # Skipping the dsigma terms keeps every bit on a state-independent
@@ -325,10 +369,105 @@ class TestIntegralStructure:
                 return batch.model.dsigma(t, x)
 
             probe = replace(batch, model=replace(batch.model, dsigma=counted))
-            skorokhod_batch(probe, compute_bundle_batch(batch))
+            skorokhod_batch(probe)
             return len(calls)
 
         ou = _path("ornstein_uhlenbeck", 16, 18, [0.3])
         assert dsigma_calls(ou) == 0
         assert dsigma_calls(_flag_cleared(ou)) >= 1
         assert dsigma_calls(_path("state_dependent_tanh", 16, 18, [0.3])) >= 1
+
+
+class TestOnePass:
+    @pytest.mark.parametrize(
+        "name,x0",
+        [
+            ("ornstein_uhlenbeck", [0.3]),
+            ("bounded_nonlinear_drift", [0.5]),
+            ("state_dependent_tanh", [0.3]),
+            ("linear_multidim", [0.3, -0.2]),
+            ("sheared_tanh_2d", [0.3, -0.2]),
+            ("explosive", [0.6]),
+        ],
+    )
+    def test_one_pass_matches_independent_per_node_runs(self, name, x0):
+        # One simulation to the last node must give each node what a harvest
+        # on the grid cut there gives: the same states, masks and counts, and
+        # the same integrals up to rounding.
+        model = {"sheared_tanh_2d": _sheared_tanh_2d, "explosive": _explosive}.get(
+            name, lambda: make_model(name)
+        )()
+        grid = TimeGrid(horizon=2.0 if name == "explosive" else 1.0, steps=32)
+        nodes = [8, 16, 24, 32]
+        one = harvest_paths(model, grid, x0, 600, seed=21, nodes=nodes)
+        for j, n in enumerate(nodes):
+            alone = harvest_paths(model, grid.truncated(n), x0, 600, seed=21)
+            for field in ("X_t", "finite", "singular"):
+                npt.assert_array_equal(getattr(one, field)[:, j], getattr(alone, field)[:, 0])
+            assert one.n_sim_invalid[j] == alone.n_sim_invalid[0]
+            assert one.n_singular[j] == alone.n_singular[0]
+            assert np.all(np.isfinite(one.total[one.valid[:, j], j]))
+            scale = np.abs(alone.total[alone.valid]).max()
+            for key in TERMS:
+                npt.assert_allclose(
+                    getattr(one, key)[:, j], getattr(alone, key)[:, 0], rtol=0, atol=1e-14 * scale
+                )
+        if name == "explosive":
+            # 31 and 239 paths overflow by nodes 24 and 32. Of the 16 singular
+            # ones at node 24, one has a finite gamma but an overflowed b and c.
+            assert one.n_sim_invalid.tolist() == [0, 0, 31, 239]
+            assert one.n_singular.tolist() == [0, 0, 16, 14]
+
+    def test_path_that_overflows_later_counts_until_then(self):
+        # Path 2 overflows in step 10, so it is finite through node 10 and
+        # excluded as a simulation failure from node 11 on. Up to node 10 no
+        # path's integrals see the overflow, bit for bit.
+        model = make_model("ornstein_uhlenbeck", {"sigma0": 2.0})
+        grid = TimeGrid(horizon=1.0, steps=16)
+        inc = sample_brownian_block(grid, 1, 31, 0, 4)
+        clean = simulate_variation_batch(model, grid, inc, [0.0])
+        inc[2, 10] = 1e308
+        broken = simulate_variation_batch(model, grid, inc, [0.0])
+        nodes = [4, 10, 11, 16]
+        want = skorokhod_batch(clean, nodes)
+        got = skorokhod_batch(broken, nodes)
+        assert got["finite"][2].tolist() == [True, True, False, False]
+        assert np.all(np.delete(got["finite"], 2, axis=0))
+        assert not got["singular"].any()
+        for key in TERMS:
+            npt.assert_array_equal(got[key][:, :2], want[key][:, :2])
+            npt.assert_array_equal(np.delete(got[key], 2, axis=0), np.delete(want[key], 2, axis=0))
+            assert np.all(np.isnan(got[key][2, 2:]))
+
+    def test_nodes_in_any_order_come_back_in_that_order(self):
+        batch = _path("state_dependent_tanh", 16, 3, [0.2])
+        sorted_out = skorokhod_batch(batch, [4, 12, 16])
+        shuffled = skorokhod_batch(batch, [16, 4, 16, 12])
+        for key in sorted_out:
+            npt.assert_array_equal(shuffled[key], sorted_out[key][:, [2, 0, 2, 1]])
+        with pytest.raises(ValueError, match="nodes must lie in"):
+            skorokhod_batch(batch, [0, 16])
+
+    @pytest.mark.parametrize("name,x0", [("ornstein_uhlenbeck", [0.3]), ("linear_multidim", [0.3, -0.2])])
+    def test_clearing_the_affine_flag_keeps_every_bit(self, name, x0):
+        # The flag only skips work whose result is exactly zero.
+        model = make_model(name)
+        grid = TimeGrid(horizon=1.0, steps=32)
+        inc = sample_brownian_block(grid, model.d, 19, 0, 16)
+        flagged = simulate_variation_batch(model, grid, inc, x0)
+        general = simulate_variation_batch(replace(model, affine_coefficients=False), grid, inc, x0)
+        for field in ("X", "Y", "Yinv", "Z", "valid"):
+            assert np.array_equal(getattr(flagged, field), getattr(general, field)), field
+        want = skorokhod_batch(general, [8, 32])
+        got = skorokhod_batch(flagged, [8, 32])
+        for key in want:
+            npt.assert_array_equal(got[key], want[key])
+
+        calls = []
+
+        def counted(t, x):
+            calls.append(1)
+            return model.d2b(t, x)
+
+        simulate_variation_batch(replace(model, d2b=counted), grid, inc, x0)
+        assert calls == []

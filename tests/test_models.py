@@ -175,3 +175,17 @@ def test_tanh_derivative_consistency(alpha, xval):
     h = 1e-6
     fd = (m.sigma(0.0, x + h) - m.sigma(0.0, x - h)) / (2 * h)
     npt.assert_allclose(m.dsigma(0.0, x)[0, 0, 0, 0], fd[0, 0, 0], atol=1e-7)
+
+
+def test_affine_flag_only_on_models_without_curvature():
+    # The simulator leaves Z at 0 on flagged models, so their second
+    # derivatives must vanish everywhere, not only where a test looks.
+    rng = np.random.default_rng(23)
+    flagged = sorted(name for name in BUILTIN_MODELS if make_model(name).affine_coefficients)
+    assert flagged == ["linear_multidim", "ornstein_uhlenbeck"]
+    for name in flagged:
+        model = make_model(name)
+        x = rng.uniform(-5.0, 5.0, size=(200, model.m))
+        t = rng.uniform(0.0, 1.0, size=200)
+        assert np.all(model.d2b(t, x) == 0.0), name
+        assert np.all(model.d2sigma(t, x) == 0.0), name
