@@ -115,8 +115,11 @@ def cmd_score(cfg: RunConfig, out_dir: str, workers: int) -> int:
         for j, node in enumerate(nodes):
             t = grid.dt * node
             fname = f"score_n{node:04d}.csv"
-            with open(os.path.join(out_dir, fname), "w") as fh:
-                write_score_csv(fh, table, j)
+            # A repeated node's files are written at its first entry only.
+            first = node not in nodes[:j]
+            if first:
+                with open(os.path.join(out_dir, fname), "w") as fh:
+                    write_score_csv(fh, table, j)
             summary.write(
                 f"  node {node} (t={t!r}): file {fname}, paths {cfg.n_paths}, "
                 f"excluded {table.excluded[j]} (simulation {harvest.n_sim_invalid[j]}, "
@@ -144,20 +147,26 @@ def cmd_score(cfg: RunConfig, out_dir: str, workers: int) -> int:
                 )
             if cfg.dump_breakdown:
                 bname = f"breakdown_n{node:04d}.csv"
-                with open(os.path.join(out_dir, bname), "w") as fh:
-                    fh.write(BREAKDOWN_HEADER + "\n")
-                    for p in range(harvest.total.shape[0]):
-                        if not harvest.valid[p, j]:
-                            continue
-                        for k in range(model.m):
-                            fh.write(
-                                f"{p},{k + 1},{float(harvest.ito[p, j, k])!r},"
-                                f"{float(harvest.a[p, j, k])!r},{float(harvest.b[p, j, k])!r},"
-                                f"{float(harvest.c[p, j, k])!r},{float(harvest.total[p, j, k])!r},"
-                                f"{float(harvest.cond[p, j])!r}\n"
-                            )
+                if first:
+                    _write_breakdown(os.path.join(out_dir, bname), harvest, j)
                 summary.write(f"  breakdown dump: {bname}\n")
     return 0
+
+
+def _write_breakdown(path: str, harvest, j: int) -> None:
+    """Per-path integral breakdown at node j of a harvest, valid paths only."""
+    with open(path, "w") as fh:
+        fh.write(BREAKDOWN_HEADER + "\n")
+        for p in range(harvest.total.shape[0]):
+            if not harvest.valid[p, j]:
+                continue
+            for k in range(harvest.total.shape[2]):
+                fh.write(
+                    f"{p},{k + 1},{float(harvest.ito[p, j, k])!r},"
+                    f"{float(harvest.a[p, j, k])!r},{float(harvest.b[p, j, k])!r},"
+                    f"{float(harvest.c[p, j, k])!r},{float(harvest.total[p, j, k])!r},"
+                    f"{float(harvest.cond[p, j])!r}\n"
+                )
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, workers: int) -> int:
@@ -171,9 +180,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, workers: int) -> int:
     for lo in range(0, cfg.n_paths, ch):
         hi = min(cfg.n_paths, lo + ch)
         inc = sample_brownian_block(grid, model.d, cfg.seed, lo, hi - lo)
-        batch = simulate_variation_batch(model, grid, inc, x0)
+        dump = traj_fh is not None and dumped < cfg.dump_paths
+        # Only a chunk with dumped paths needs every node kept.
+        batch = simulate_variation_batch(model, grid, inc, x0, nodes=None if dump else [grid.steps])
         n_invalid += int(np.count_nonzero(~batch.valid))
-        if traj_fh is not None and dumped < cfg.dump_paths:
+        if dump:
             n_dump = min(cfg.dump_paths - dumped, hi - lo)
             ids = list(range(lo, lo + n_dump))
             write_trajectories_csv(traj_fh, batch.take(slice(0, n_dump)), ids, header=dumped == 0)
@@ -288,8 +299,11 @@ def _validate_checks(cfg: RunConfig, workers: int):
     )
 
     if model.state_independent_diffusion:
-        # The same batch under a cleared flag runs the general assembly.
-        general = replace(batch, model=replace(model, state_independent_diffusion=False))
+        # The same noise simulated again under a cleared flag runs the
+        # general assembly.
+        general = simulate_variation_batch(
+            replace(model, state_independent_diffusion=False), grid, inc, x0
+        )
         res_g = skorokhod_batch(general)["total"][usable, 0]
         res_c = skorokhod_batch(batch)["total"][usable, 0]
         dev = np.abs(res_g - res_c)

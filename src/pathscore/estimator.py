@@ -6,7 +6,8 @@ The score at (t, y) is estimated as
 
 where delta_k is the anticipating integral of the k-th covering field with t
 as the terminal time. One simulation to the latest requested time yields
-delta at every requested time (skorokhod_batch reads it from running sums).
+delta at every requested time: the Euler loop folds each step into running
+sums, and skorokhod_batch contracts the sums kept at each time.
 The conditional expectation uses Nadaraya-Watson weights with a Gaussian
 product kernel (bandwidth per dimension, Silverman by default) or an optional
 k-nearest-neighbor window, fitted separately at each time. Standard errors
@@ -91,9 +92,13 @@ class PathHarvest:
 
 
 def _harvest_chunk(model, grid, x0, seed, nodes, lo, hi) -> PathHarvest:
+    # The noise block is the chunk's one (paths, steps) array; nothing holds
+    # it once the simulation has folded it in.
     inc = sample_brownian_block(grid, model.d, seed, lo, hi - lo)
-    batch = simulate_variation_batch(model, grid, inc, x0)
-    return PathHarvest(X_t=batch.X[:, nodes], **skorokhod_batch(batch, nodes))
+    batch = simulate_variation_batch(model, grid, inc, x0, nodes=nodes)
+    del inc
+    X_t = batch.X[:, np.searchsorted(batch.nodes, nodes)]
+    return PathHarvest(X_t=X_t, **skorokhod_batch(batch, nodes))
 
 
 # (model, grid, x0, seed, nodes) of the harvest that forked the worker pool.
@@ -233,7 +238,8 @@ def estimate_score(
 
     Each time must lie on the grid, strictly after the first node. One
     harvest simulates the paths to the latest time and yields the
-    anticipating integrals at every time; the regression then runs per time.
+    anticipating integrals at every time; the regression then runs once per
+    distinct time.
     Returns the ScoreTable, whose node axis follows ``times``, together with
     the raw per-path harvest it was regressed from.
     """
@@ -271,7 +277,11 @@ def estimate_score(
     stderr = np.empty((K, Q, m))
     n_eff = np.empty((K, Q))
     bws = np.empty((K, m))
+    # A repeated node is regressed at its first entry and copied to the rest.
+    first = [nodes.index(node) for node in nodes]
     for j, node in enumerate(nodes):
+        if first[j] < j:
+            continue
         t0 = time.perf_counter()
         ok = harvest.valid[:, j]
         X, delta = harvest.X_t[ok, j], harvest.total[ok, j]
@@ -286,14 +296,15 @@ def estimate_score(
             scores[j], stderr[j], n_eff[j] = _knn_tables(X, delta, points, int(knn))
         log.info("node %d regression: %.2fs", node, time.perf_counter() - t0)
 
+    n_eff = n_eff[first]
     table = ScoreTable(
         t=np.array(nodes) * grid.dt,
         points=points,
-        scores=scores,
-        stderr=stderr,
+        scores=scores[first],
+        stderr=stderr[first],
         n_eff=n_eff,
         flagged=n_eff < MIN_EFFECTIVE_SAMPLES,
-        bandwidth=None if knn is not None else bws,
+        bandwidth=None if knn is not None else bws[first],
         excluded=harvest.n_excluded,
     )
     return table, harvest

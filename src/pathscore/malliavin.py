@@ -39,27 +39,33 @@ last two indices:
   K_b = (Z_N : B1 - Y_N B2) Y_N^T
   K_c = Z_N : (Gamma (x) Gamma - B1) Y_N^T - (Y_N (x) Y_N) : (Gamma . R_tot - C2)
 
-(index order as in the einsums of skorokhod_batch). The s >= t sums of c are
-totals minus prefixes, so the assembly is O(N) per path; the direct O(N^2)
-per-node formulas it reproduces live with the oracles. K_c holds only because
-Yinv_s = Y_s^{-1} at the same node s; any other Yinv (say Y_{s+1}^{-1})
-changes the s >= t kernel, which must then be derived again.
+(index order as in the einsums of _fold_step and _terms_at_node). The s >= t
+sums of c are totals minus prefixes, so the assembly is O(N) per path; the
+direct O(N^2) per-node formulas it reproduces live with the oracles. K_c
+holds only because Yinv_s = Y_s^{-1} at the same node s; any other Yinv
+(say Y_{s+1}^{-1}) changes the s >= t kernel, which must then be derived
+again.
 
 Nothing above depends on N being the last grid node: with any node n as the
-terminal time, the sums run over steps 0..n-1. skorokhod_batch therefore
-reads the seven sums at each requested node n as it walks the nodes in
-ascending order, adding one segment of steps at a time, and contracts them
-with (Y_n, Z_n) and gamma = Y_n Gamma Y_n^T. One simulation to the last
-requested node serves every earlier one.
+terminal time, the sums run over steps 0..n-1. The Euler loop of
+simulate_variation_batch therefore folds each step into the seven sums as it
+goes (_fold_step, with O(m^4) state per path) and keeps them, with (Y, Z),
+at the nodes it is asked for. skorokhod_batch only contracts the sums kept at
+each requested node n with (Y_n, Z_n) and gamma = Y_n Gamma Y_n^T. One
+simulation to the last requested node serves every earlier one, and no
+per-step array of the whole path is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .paths import TrajectoryBatch
+if TYPE_CHECKING:
+    from .models import SdeModel
+    from .paths import TrajectoryBatch
 
 # Paths whose Gram matrix has a condition number at or above this are singular.
 COND_LIMIT = 1e8
@@ -85,23 +91,21 @@ class BundleBatch:
     singular: np.ndarray
 
 
-def _left_eval(batch: TrajectoryBatch, what: str, steps: int) -> np.ndarray:
-    """Evaluate a model coefficient at the left nodes 0..steps-1, shape (B, steps, ...)."""
-    t_left = batch.grid.nodes()[:steps]
-    fn = getattr(batch.model, what)
-    return fn(t_left[None, :], batch.X[:, :steps])
-
-
 def _invert_gram(gamma: np.ndarray, usable: np.ndarray):
     """Condition numbers, singular flags and inverses of a stack of Gram matrices.
 
-    A matrix is singular when its path is not usable, it is non-finite, or
-    its condition number is at or above COND_LIMIT; its inverse is nan.
+    The condition number of the symmetric gamma is max|lambda| / min|lambda|
+    over its eigenvalues; a zero eigenvalue makes it inf. A
+    matrix is singular when its path is not usable, it is non-finite, or its
+    condition number is at or above COND_LIMIT; its inverse is nan.
     """
     finite = np.all(np.isfinite(gamma), axis=(1, 2)) & usable
     cond = np.full(gamma.shape[0], np.inf)
     if np.any(finite):
-        cond[finite] = np.linalg.cond(gamma[finite])
+        lam = np.abs(np.linalg.eigvalsh(gamma[finite]))
+        lo, hi = lam.min(axis=1), lam.max(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond[finite] = np.where(lo > 0, hi / lo, np.inf)
     singular = ~finite | ~np.isfinite(cond) | (cond >= COND_LIMIT)
 
     gamma_solve = gamma.copy()
@@ -112,11 +116,17 @@ def _invert_gram(gamma: np.ndarray, usable: np.ndarray):
 
 
 def compute_bundle_batch(batch: TrajectoryBatch) -> BundleBatch:
-    """Sensitivity tables, Gram matrix and its inverse for a block of paths."""
+    """Sensitivity tables, Gram matrix and its inverse for a block of paths.
+
+    Needs the batch at every grid node (simulated without ``nodes``).
+    """
     N, dt = batch.grid.steps, batch.grid.dt
+    if len(batch.nodes) != N + 1:
+        raise ValueError("compute_bundle_batch needs a batch kept at every grid node")
     YN = batch.Y[:, N]
 
-    V = np.einsum("bnij,bnjl->bnil", batch.Yinv[:, :N], _left_eval(batch, "sigma", N))
+    sig = batch.model.sigma(batch.grid.nodes()[None, :N], batch.X[:, :N])
+    V = np.einsum("bnij,bnjl->bnil", batch.Yinv[:, :N], sig)
     W = np.einsum("bij,bnjl->bnil", YN, V)
     gamma = dt * np.einsum("bnil,bnjl->bij", W, W)
     cond, singular, gamma_inv = _invert_gram(gamma, batch.valid)
@@ -132,20 +142,48 @@ def compute_bundle_batch(batch: TrajectoryBatch) -> BundleBatch:
     )
 
 
-def _exclusive_cumsum(a: np.ndarray) -> np.ndarray:
-    """Sums over the steps before n (axis 1), zero at n = 0."""
-    before = np.zeros_like(a)
-    np.cumsum(a[:, :-1], axis=1, out=before[:, 1:])
-    return before
+def _zero_sums(B: int, m: int) -> dict:
+    """The seven running sums over no steps: P, A, Gam, R_tot, B1, B2, C2."""
+    shapes = dict(P=1, A=1, Gam=2, R_tot=3, B1=4, B2=3, C2=3)
+    return {name: np.zeros((B,) + (m,) * rank) for name, rank in shapes.items()}
+
+
+def _fold_step(sums: dict, model: SdeModel, dt: float, yinv, sig, z, dsY, dW) -> None:
+    """Add Euler step n to the running sums, in place.
+
+    yinv, sig and z are Yinv_n, sigma_n and Z_n at the left node, dsY is
+    dsigma_n . Y_n (None on a model flagged state_independent_diffusion)
+    and dW the increment of the step. R_n is skipped where it is zero: its Z
+    term on a model flagged affine_coefficients, its dsigma term when dsY
+    is None, and all of it, with A, B2, C2 and R_tot, when both hold.
+    """
+    V = np.einsum("bij,bjl->bil", yinv, sig)
+    S = dt * np.einsum("bjl,bql->bjq", V, V)
+    sums["P"] += np.einsum("bil,bl->bi", V, dW)
+    sums["B1"] += np.einsum("bjy,bxe->bjyxe", S, sums["Gam"])
+    if not (model.affine_coefficients and dsY is None):
+        if model.affine_coefficients:
+            R = np.zeros(S.shape + (S.shape[-1],))
+        else:
+            R = np.einsum("bri,bieq,bjq->bjre", yinv, z, S)
+        if dsY is not None:
+            # Two fixed pairwise steps: dsigma . Y (already formed for the Y
+            # update) with Yinv, then with V.
+            R -= dt * np.einsum("bjl,blre->bjre", V, np.einsum("bri,blie->blre", yinv, dsY))
+        sums["A"] += np.einsum("bjrj->br", R)
+        sums["B2"] += np.einsum("bjrx,bxe->bjre", R, sums["Gam"])
+        sums["C2"] += np.einsum("bjr,bexr->bjex", S, sums["R_tot"])
+        sums["R_tot"] += R
+    sums["Gam"] += S
 
 
 def skorokhod_batch(batch: TrajectoryBatch, nodes=None) -> dict:
     """Anticipating integrals for all covering directions, at each requested node.
 
-    ``nodes`` are grid indices in [1, N], in any order and possibly repeated;
-    the default is the last node N. Node n takes t_n as the terminal time,
-    using only the steps before it. The returned arrays carry a node axis in
-    the order of ``nodes``:
+    ``nodes`` are grid indices in [1, N] that the batch was kept at, in any
+    order and possibly repeated; the default is the last node N. Node n
+    takes t_n as the terminal time, using only the steps before it. The
+    returned arrays carry a node axis in the order of ``nodes``:
 
       ito, a, b, c, total   (B, K, m), total = ito - a + b + c
       cond                  (B, K) condition number of gamma at the node
@@ -154,59 +192,28 @@ def skorokhod_batch(batch: TrajectoryBatch, nodes=None) -> dict:
                             (or an integral overflowed there)
 
     The integrals of paths that are not finite or singular are nan. The
-    diffusion-derivative terms are skipped exactly when the model is flagged
-    ``state_independent_diffusion``, the second-variation terms when it is
-    flagged ``affine_coefficients``.
+    running sums come from the simulation, which skips the terms that the
+    model's flags make zero.
     """
-    grid, model = batch.grid, batch.model
-    dt, m, B = grid.dt, model.m, batch.n_paths
+    grid = batch.grid
     wanted = [grid.steps] if nodes is None else [int(n) for n in nodes]
     if not wanted or min(wanted) < 1 or max(wanted) > grid.steps:
         raise ValueError(f"nodes must lie in [1, {grid.steps}], got {nodes}")
     walk, order = np.unique(wanted, return_inverse=True)
-    last = int(walk[-1])
-    Yinvl, dB = batch.Yinv[:, :last], batch.dB[:, :last]
-    finite = batch.finite_prefix()
-
+    missing = np.setdiff1d(walk, batch.nodes)
+    if missing.size:
+        raise ValueError(f"nodes {missing.tolist()} were not kept by the simulation")
     # Paths that are not finite carry nan or inf through the einsums and are
     # masked at each node; silence the arithmetic warnings they would trigger.
+    out = {}
     with np.errstate(invalid="ignore", over="ignore"):
-        # Per-step tensors, dt included: S_n = V_n V_n^T and R_n = V_n M_n.
-        V = np.einsum("bnij,bnjl->bnil", Yinvl, _left_eval(batch, "sigma", last))
-        S = dt * np.einsum("bnjl,bnql->bnjq", V, V)
-        if model.affine_coefficients:
-            R = np.zeros(S.shape[:2] + (m, m, m))
-        else:
-            R = np.einsum("bnri,bnieq,bnjq->bnjre", Yinvl, batch.Z[:, :last], S)
-        if not model.state_independent_diffusion:
-            dsig = _left_eval(batch, "dsigma", last)
-            R -= dt * np.einsum("bnjl,bnri,bnlik,bnke->bnjre", V, Yinvl, dsig, batch.Y[:, :last])
-            del dsig
-        Gam_before = _exclusive_cumsum(S)
-        R_before = _exclusive_cumsum(R)
-
-        # Running sums over the steps before the current node.
-        P = np.zeros((B, m))
-        A = np.zeros((B, m))
-        B1 = np.zeros((B, m, m, m, m))
-        B2 = np.zeros((B, m, m, m))
-        C2 = np.zeros((B, m, m, m))
-        rows = []
-        lo = 0
-        for n in walk:
-            seg = slice(lo, n)
-            lo = n
-            P += np.einsum("bnil,bnl->bi", V[:, seg], dB[:, seg])
-            A += np.einsum("bnjrj->br", R[:, seg])
-            B1 += np.einsum("bnjy,bnxe->bjyxe", S[:, seg], Gam_before[:, seg])
-            B2 += np.einsum("bnjrx,bnxe->bjre", R[:, seg], Gam_before[:, seg])
-            C2 += np.einsum("bnjr,bnexr->bjex", S[:, seg], R_before[:, seg])
-            Gam = Gam_before[:, n - 1] + S[:, n - 1]
-            R_tot = R_before[:, n - 1] + R[:, n - 1]
-            rows.append(
-                _terms_at_node(batch.Y[:, n], batch.Z[:, n], finite[:, n], P, A, Gam, R_tot, B1, B2, C2)
-            )
-    return {key: np.stack([r[key] for r in rows], axis=1)[:, order] for key in rows[0]}
+        for j, k in enumerate(np.searchsorted(batch.nodes, walk)):
+            sums = {name: s[:, k] for name, s in batch.sums.items()}
+            terms = _terms_at_node(batch.Y[:, k], batch.Z[:, k], batch.finite[:, k], **sums)
+            for key, v in terms.items():
+                shape = (batch.n_paths, len(wanted)) + v.shape[1:]
+                out.setdefault(key, np.empty(shape, v.dtype))[:, order == j] = v[:, None]
+    return out
 
 
 def _terms_at_node(Yn, Zn, finite, P, A, Gam, R_tot, B1, B2, C2) -> dict:

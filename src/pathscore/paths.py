@@ -7,9 +7,13 @@ with shared increments:
   Y_t    first variation dX_t/dx0               (m, m)   Y_0 = I
   Z_t    second variation d^2X_t/dx0^2          (m, m, m) Z[i, p, q], Z_0 = 0
 
-The inverse first variation Yinv_t = Y_t^{-1} is not simulated: it is
-computed from Y once the Euler loop is done, so Y_t Yinv_t = I to rounding.
-On a model flagged ``affine_coefficients`` Z stays at its zero start.
+The inverse first variation Yinv_t = Y_t^{-1} is not simulated: each step
+inverts the current Y, so Y_t Yinv_t = I to rounding. The same pass folds
+the step into the seven running sums from which malliavin.skorokhod_batch
+reads the anticipating integrals, so it is the only pass over the path,
+and keeps both only at the requested nodes. On a model flagged
+``affine_coefficients`` Z stays at its zero start, and on one flagged
+``state_independent_diffusion`` the dsigma terms are skipped.
 
 Everything is vectorized over a leading batch-of-paths axis, and a single
 path is a row slice of a batch (TrajectoryBatch.take). Noise is
@@ -24,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .malliavin import _fold_step, _zero_sums
 from .models import SdeModel
 
 
@@ -91,26 +96,28 @@ def sample_brownian_block(
 class TrajectoryBatch:
     """A block of simulated paths with their variation processes.
 
-    Shapes: X (B, N+1, m); Y, Yinv (B, N+1, m, m); Z (B, N+1, m, m, m);
-    dB (B, N, d); valid (B,) marks paths that stayed finite.
+    The node quantities are kept at the grid indices ``nodes`` (K of them,
+    ascending, node 0 first): X (B, K, m); Y, Yinv (B, K, m, m);
+    Z (B, K, m, m, m); finite (B, K) marks paths that stayed finite at every
+    node up to and including the kept one; ``sums`` holds the seven running
+    sums over the steps before each kept node, each (B, K, ...).
+    valid (B,) marks paths finite to the end. The increments are not kept.
     """
 
     model: SdeModel
     grid: TimeGrid
+    nodes: np.ndarray
     X: np.ndarray
     Y: np.ndarray
     Yinv: np.ndarray
     Z: np.ndarray
-    dB: np.ndarray
+    finite: np.ndarray
+    sums: dict
     valid: np.ndarray
 
     @property
     def n_paths(self) -> int:
         return self.X.shape[0]
-
-    def finite_prefix(self) -> np.ndarray:
-        """(B, N+1) mask: the path is finite at every node up to and including n."""
-        return _finite_prefix(self.X, self.Y, self.Yinv, self.Z)
 
     def take(self, idx) -> "TrajectoryBatch":
         """The paths selected by ``idx`` (index list, slice or mask) as a batch."""
@@ -120,7 +127,8 @@ class TrajectoryBatch:
             Y=self.Y[idx],
             Yinv=self.Yinv[idx],
             Z=self.Z[idx],
-            dB=self.dB[idx],
+            finite=self.finite[idx],
+            sums={name: s[idx] for name, s in self.sums.items()},
             valid=self.valid[idx],
         )
 
@@ -130,84 +138,110 @@ def simulate_variation_batch(
     grid: TimeGrid,
     increments: np.ndarray,
     x0,
+    nodes=None,
 ) -> TrajectoryBatch:
-    """Propagate (X, Y, Z) for a block of paths sharing a grid, then invert Y.
+    """One Euler pass over (X, Y, Z) that also folds in delta's running sums.
 
-    ``increments`` has shape (B, steps, d). Yinv is the matrix inverse of Y
-    at every node (the reciprocal when m = 1).
+    ``increments`` has shape (B, steps, d). Each step evaluates the model's
+    coefficients once at the left node, forms Yinv_n (the reciprocal when
+    m = 1, else the matrix inverse), adds the step to the seven running sums
+    of malliavin._fold_step and advances the state. The node quantities
+    and the sums are kept at node 0 and at the grid indices ``nodes``
+    (default: every node), so a score run holds no per-step array.
 
-    Paths that leave the finite domain or whose Y turns singular are flagged
-    invalid, never raised.
+    On a model flagged ``state_independent_diffusion`` the dsigma terms of
+    the Y and Z updates are skipped, and on one flagged
+    ``affine_coefficients`` Z stays at its zero start. Paths that leave the
+    finite domain or whose Y turns singular are flagged invalid, never
+    raised.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 3 or inc.shape[1] != grid.steps or inc.shape[2] != model.d:
         raise ValueError(f"increments must have shape (B, {grid.steps}, {model.d})")
     B = inc.shape[0]
     m, N, dt = model.m, grid.steps, grid.dt
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (B, m))
+    keep = np.arange(N + 1) if nodes is None else np.union1d([0], np.asarray(nodes, dtype=int))
+    if keep.min() < 0 or keep.max() > N:
+        raise ValueError(f"nodes must lie in [0, {N}], got {nodes}")
+    slot = dict(zip(keep.tolist(), range(len(keep))))
+    general_sigma = not model.state_independent_diffusion
 
-    X = np.empty((B, N + 1, m))
-    Y = np.empty((B, N + 1, m, m))
-    Z = np.zeros((B, N + 1, m, m, m))
-    X[:, 0] = x0
-    Y[:, 0] = np.eye(m)
+    kept = {}
+    x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (B, m)))
+    y = np.array(np.broadcast_to(np.eye(m), (B, m, m)))
+    z = np.zeros((B, m, m, m))
+    alive = np.ones(B, dtype=bool)
+    sums = _zero_sums(B, m)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for n in range(N):
-            t = n * dt
-            x = X[:, n]
-            y, z = Y[:, n], Z[:, n]
-            dW = inc[:, n]
+        for n in range(N + 1):
+            yinv = _inverse(y)
+            alive &= (
+                np.all(np.isfinite(x), axis=1)
+                & np.all(np.isfinite(y), axis=(1, 2))
+                & np.all(np.isfinite(yinv), axis=(1, 2))
+                & np.all(np.isfinite(z), axis=(1, 2, 3))
+            )
+            if n in slot:
+                for name, value in dict(X=x, Y=y, Yinv=yinv, Z=z, finite=alive, **sums).items():
+                    shape = (B, len(keep)) + value.shape[1:]
+                    kept.setdefault(name, np.empty(shape, value.dtype))[:, slot[n]] = value
+            if n == N:
+                break
 
+            t = n * dt
+            dW = inc[:, n]
             b = model.b(t, x)
             sig = model.sigma(t, x)
             db = model.db(t, x)
-            dsig = model.dsigma(t, x)
+            dsig = dsY = None
+            if general_sigma:
+                dsig = model.dsigma(t, x)
+                dsY = np.einsum("blij,bjk->blik", dsig, y)
+            _fold_step(sums, model, dt, yinv, sig, z, dsY, dW)
 
-            X[:, n + 1] = x + b * dt + np.einsum("bil,bl->bi", sig, dW)
+            x_next = _state_step(x, b, sig, dW, dt)
+            y_next = y + np.einsum("bij,bjk->bik", db, y) * dt
+            if general_sigma:
+                y_next += np.einsum("blik,bl->bik", dsY, dW)
+            if not model.affine_coefficients:
+                # dZ[i,j,k]: Hessian of the flow; both drift and noise have a
+                # curvature term d2(coeff):(Y x Y) plus a linear transport term.
+                zdrift = np.einsum("bipq,bpj,bqk->bijk", model.d2b(t, x), y, y) + np.einsum(
+                    "bir,brjk->bijk", db, z
+                )
+                z_next = z + zdrift * dt
+                if general_sigma:
+                    znoise = np.einsum(
+                        "blipq,bpj,bqk->blijk", model.d2sigma(t, x), y, y
+                    ) + np.einsum("blir,brjk->blijk", dsig, z)
+                    z_next += np.einsum("blijk,bl->bijk", znoise, dW)
+                z = z_next
+            x, y = x_next, y_next
 
-            dbY = np.einsum("bij,bjk->bik", db, y)
-            dsY = np.einsum("blij,bjk->blik", dsig, y)
-            Y[:, n + 1] = y + dbY * dt + np.einsum("blik,bl->bik", dsY, dW)
-
-            if model.affine_coefficients:
-                continue
-            # dZ[i,j,k]: Hessian of the flow; both drift and noise have a
-            # curvature term d2(coeff):(Y x Y) plus a linear transport term.
-            d2b = model.d2b(t, x)
-            d2sig = model.d2sigma(t, x)
-            zdrift = np.einsum("bipq,bpj,bqk->bijk", d2b, y, y) + np.einsum(
-                "bir,brjk->bijk", db, z
-            )
-            znoise = np.einsum("blipq,bpj,bqk->blijk", d2sig, y, y) + np.einsum(
-                "blir,brjk->blijk", dsig, z
-            )
-            Z[:, n + 1] = z + zdrift * dt + np.einsum("blijk,bl->bijk", znoise, dW)
-
-        if m == 1:
-            Yinv = 1.0 / Y
-        else:
-            # inv raises on a singular matrix, so invert only the finite Y
-            # with a finite nonzero determinant; the rest stay nan and flag
-            # their path invalid below.
-            Yinv = np.full_like(Y, np.nan)
-            ok = np.all(np.isfinite(Y), axis=(2, 3))
-            det = np.linalg.det(Y[ok])
-            ok[ok] = np.isfinite(det) & (det != 0.0)
-            Yinv[ok] = np.linalg.inv(Y[ok])
-
-    valid = _finite_prefix(X, Y, Yinv, Z)[:, -1]
-    return TrajectoryBatch(model=model, grid=grid, X=X, Y=Y, Yinv=Yinv, Z=Z, dB=inc, valid=valid)
+    node_fields = {name: kept.pop(name) for name in ("X", "Y", "Yinv", "Z", "finite")}
+    return TrajectoryBatch(model=model, grid=grid, nodes=keep, sums=kept, valid=alive, **node_fields)
 
 
-def _finite_prefix(X, Y, Yinv, Z) -> np.ndarray:
-    finite = (
-        np.all(np.isfinite(X), axis=2)
-        & np.all(np.isfinite(Y), axis=(2, 3))
-        & np.all(np.isfinite(Yinv), axis=(2, 3))
-        & np.all(np.isfinite(Z), axis=(2, 3, 4))
-    )
-    return np.logical_and.accumulate(finite, axis=1)
+def _inverse(y: np.ndarray) -> np.ndarray:
+    """Yinv of a stack of Y: the reciprocal when m = 1, else the matrix inverse.
+
+    inv raises on a singular matrix, so only the finite Y with a finite
+    nonzero determinant are inverted; the rest stay nan and flag their path.
+    """
+    if y.shape[-1] == 1:
+        return 1.0 / y
+    yinv = np.full_like(y, np.nan)
+    ok = np.all(np.isfinite(y), axis=(1, 2))
+    det = np.linalg.det(y[ok])
+    ok[ok] = np.isfinite(det) & (det != 0.0)
+    yinv[ok] = np.linalg.inv(y[ok])
+    return yinv
+
+
+def _state_step(x, b, sig, dW, dt):
+    """One Euler step of the state."""
+    return x + b * dt + np.einsum("bil,bl->bi", sig, dW)
 
 
 def euler_state_batch(model: SdeModel, grid: TimeGrid, increments: np.ndarray, x0) -> np.ndarray:
@@ -219,7 +253,7 @@ def euler_state_batch(model: SdeModel, grid: TimeGrid, increments: np.ndarray, x
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(grid.steps):
             t = n * dt
-            x = x + model.b(t, x) * dt + np.einsum("bil,bl->bi", model.sigma(t, x), inc[:, n])
+            x = _state_step(x, model.b(t, x), model.sigma(t, x), inc[:, n], dt)
     return x
 
 
@@ -235,18 +269,18 @@ def trajectory_csv_header(m: int) -> str:
 def write_trajectories_csv(fh, batch: TrajectoryBatch, path_ids=None, header: bool = True) -> None:
     """Dump a trajectory block as CSV, one row per (path, node)."""
     m = batch.model.m
-    nodes = batch.grid.nodes()
+    times = batch.grid.nodes()[batch.nodes]
     if path_ids is None:
         path_ids = range(batch.n_paths)
     if header:
         fh.write(trajectory_csv_header(m) + "\n")
     for b, pid in enumerate(path_ids):
-        for i, t in enumerate(nodes):
+        for k, (i, t) in enumerate(zip(batch.nodes, times)):
             vals = [
-                *batch.X[b, i].ravel(),
-                *batch.Y[b, i].ravel(),
-                *batch.Yinv[b, i].ravel(),
-                *batch.Z[b, i].ravel(),
+                *batch.X[b, k].ravel(),
+                *batch.Y[b, k].ravel(),
+                *batch.Yinv[b, k].ravel(),
+                *batch.Z[b, k].ravel(),
             ]
             fh.write(
                 f"{pid},{i},{float(t)!r}," + ",".join(repr(float(v)) for v in vals) + "\n"

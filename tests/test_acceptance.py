@@ -223,7 +223,11 @@ def test_a5_corollary_equals_theorem(announce):
         inc = sample_brownian_block(GRID_256, model.d, SEED, 0, 200)
         batch = simulate_variation_batch(model, GRID_256, inc, x0)
         bundle = compute_bundle_batch(batch)
-        flag_cleared = replace(batch, model=replace(model, state_independent_diffusion=False))
+        # The same noise simulated again under the cleared flag runs the
+        # general assembly.
+        flag_cleared = simulate_variation_batch(
+            replace(model, state_independent_diffusion=False), GRID_256, inc, x0
+        )
         general = skorokhod_batch(flag_cleared)["total"][:, 0]
         corollary = skorokhod_batch(batch)["total"][:, 0]
         usable = batch.valid & ~bundle.singular

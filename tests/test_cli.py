@@ -4,6 +4,7 @@ Every command runs in-process through main(argv) against a temp directory,
 so these tests exercise exactly what a shell user gets.
 """
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -86,15 +87,24 @@ class TestScoreCommand:
         assert blobs[0] == blobs[1] == blobs[2]
 
 
-    def test_eval_times_in_any_order(self, tmp_path):
+    def test_eval_times_in_any_order(self, tmp_path, caplog):
         # One pass serves every node whatever the order or repeats of t_eval;
         # files and summary lines follow the config.
         runs = {}
         for tag, t_eval in (("sorted", "[0.5, 1.0]"), ("mixed", "[1.0, 0.5, 1.0]")):
             text = OU_SMALL.format(n_paths=500, extra="").replace("t_eval: [1.0]", f"t_eval: {t_eval}")
             out = tmp_path / tag
-            assert _run(["score", "--config", _write(tmp_path, text, f"{tag}.yaml"), "--out", str(out)]) == 0
+            caplog.clear()
+            cfg = _write(tmp_path, text, f"{tag}.yaml")
+            with caplog.at_level(logging.INFO, logger="pathscore.estimator"):
+                assert _run(["score", "--config", cfg, "--out", str(out)]) == 0
             runs[tag] = out
+        # The repeated node of the mixed run is regressed once.
+        logged = [r.getMessage() for r in caplog.records]
+        assert sorted(msg.split(":")[0] for msg in logged if "regression" in msg) == [
+            "node 16 regression",
+            "node 8 regression",
+        ]
         for name in ("score_n0008.csv", "score_n0016.csv"):
             assert (runs["mixed"] / name).read_bytes() == (runs["sorted"] / name).read_bytes()
         summary = (runs["mixed"] / "summary.txt").read_text()

@@ -7,6 +7,7 @@ at those seeds.
 
 import io
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -130,6 +131,21 @@ class TestHarvest:
         model = make_model("ornstein_uhlenbeck")
         with pytest.raises(ValueError, match="at least one path"):
             harvest_paths(model, TimeGrid(1.0, 8), [0.0], 0, seed=1)
+
+    def test_memory_is_bounded_by_the_noise_block(self):
+        # One pass keeps only node quantities and running sums, so the peak
+        # is the chunk's noise block plus a small remainder, not a multiple
+        # of it per node.
+        model = make_model("state_dependent_tanh")
+        grid = TimeGrid(horizon=1.0, steps=256)
+        noise = 4096 * grid.steps * 8
+        tracemalloc.start()
+        try:
+            harvest_paths(model, grid, [0.5], 4096, seed=5, nodes=range(32, 257, 32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * noise, f"peak {peak / 2**20:.1f} MiB"
 
     def test_chunk_size_depends_only_on_dimension(self):
         assert chunk_size(1) == 4096

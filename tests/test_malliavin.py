@@ -7,14 +7,14 @@ that they agree to near machine precision, and that on an exactly solvable
 linear model the whole pipeline reduces to a short pure-python recursion.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from pathscore.estimator import harvest_paths
-from pathscore.malliavin import compute_bundle_batch, skorokhod_batch
+from pathscore.malliavin import _invert_gram, compute_bundle_batch, skorokhod_batch
 from pathscore.models import SdeModel, check_derivatives, make_model
 from pathscore.oracles import (
     covering_inner_product,
@@ -104,25 +104,6 @@ def _path(name, steps, seed, x0, params=None, path_index=0):
 TERMS = ("ito", "a", "b", "c", "total")
 
 
-def _flag_cleared(batch):
-    """The same paths under a model that asks for the general assembly."""
-    return replace(batch, model=replace(batch.model, state_independent_diffusion=False))
-
-
-def _truncated(batch, n):
-    """The same paths cut at node n, on the grid [0, t_n]."""
-    return replace(
-        batch,
-        grid=batch.grid.truncated(n),
-        X=batch.X[:, : n + 1],
-        Y=batch.Y[:, : n + 1],
-        Yinv=batch.Yinv[:, : n + 1],
-        Z=batch.Z[:, : n + 1],
-        dB=batch.dB[:, :n],
-        valid=batch.finite_prefix()[:, n],
-    )
-
-
 def _left_sigma(batch):
     N = batch.grid.steps
     t_left = batch.grid.nodes()[:N]
@@ -197,6 +178,21 @@ class TestBundle:
         assert np.all(np.isnan(bundle.gamma_inv))
         assert np.all(out["finite"]) and np.all(out["singular"])
         assert all(np.all(np.isnan(out[key])) for key in TERMS)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_gram_condition_number_from_eigenvalues(self, m):
+        rng = np.random.default_rng(m)
+        A = rng.standard_normal((64, m, m))
+        gamma = A @ np.swapaxes(A, 1, 2) + m * np.eye(m)
+        cond, singular, _ = _invert_gram(gamma, np.ones(64, dtype=bool))
+        npt.assert_allclose(cond, np.linalg.cond(gamma), rtol=1e-12)
+        assert not singular.any()
+
+        flat = np.zeros((1, m, m))
+        flat[0, 0, 0] = 1.0 if m > 1 else 0.0
+        cond, singular, gamma_inv = _invert_gram(flat, np.ones(1, dtype=bool))
+        assert cond[0] == np.inf and singular[0]
+        assert np.all(np.isnan(gamma_inv))
 
     def test_blown_up_path_refused_for_integrals(self):
         model = make_model("ornstein_uhlenbeck", {"theta": 600.0})
@@ -286,11 +282,12 @@ def test_factored_corrections_match_direct_formulas(name, x0):
     each node n as the terminal time, on the path cut there.
     """
     batch = _path(name, 16, 42, x0)
+    inc = sample_brownian_block(batch.grid, batch.model.d, 42, 0, 1)
     assert check_derivatives(batch.model).ok
     nodes = [9, batch.grid.steps]
     out = skorokhod_batch(batch, nodes)
     for j, n in enumerate(nodes):
-        cut = _truncated(batch, n)
+        cut = simulate_variation_batch(batch.model, batch.grid.truncated(n), inc[:, :n], x0)
         bundle = compute_bundle_batch(cut)
         dt = cut.grid.dt
         gi, F = bundle.gamma_inv[0], bundle.F[0]
@@ -337,23 +334,14 @@ class TestIntegralStructure:
         out = skorokhod_batch(batch)
         assert out["a"][0, 0, 0] != 0.0
 
-    def test_pruned_and_general_assembly_agree_when_noise_is_flat(self):
-        model = make_model("bounded_nonlinear_drift")
-        grid = TimeGrid(horizon=1.0, steps=64)
-        inc = sample_brownian_block(grid, 1, seed=16, first_path=0, n_paths=16)
-        batch = simulate_variation_batch(model, grid, inc, x0=[0.0])
-        general = skorokhod_batch(_flag_cleared(batch), [16, 64])
-        reduced = skorokhod_batch(batch, [16, 64])
-        for key in TERMS:
-            npt.assert_array_equal(general[key], reduced[key])
-
     def test_single_path_breakdown_consistency(self):
         model = make_model("bounded_nonlinear_drift")
         grid = TimeGrid(horizon=1.0, steps=32)
         inc = sample_brownian_block(grid, 1, 17, 0, 8)
-        one = simulate_variation_batch(model, grid, inc, [0.2]).take([5])
-        general = skorokhod_batch(_flag_cleared(one))
-        reduced = skorokhod_batch(one)
+        one = inc[5:6]
+        cleared = replace(model, state_independent_diffusion=False)
+        general = skorokhod_batch(simulate_variation_batch(cleared, grid, one, [0.2]))
+        reduced = skorokhod_batch(simulate_variation_batch(model, grid, one, [0.2]))
         assert general["total"][0, 0, 0] == reduced["total"][0, 0, 0]
         ito, a, b, c = (general[key][0, 0, 0] for key in ("ito", "a", "b", "c"))
         assert general["total"][0, 0, 0] == pytest.approx(ito - a + b + c, rel=1e-12)
@@ -361,21 +349,22 @@ class TestIntegralStructure:
     def test_flag_decides_whether_dsigma_is_evaluated(self):
         # Skipping the dsigma terms keeps every bit on a state-independent
         # model, so only the call count shows whether the shortcut is taken.
-        def dsigma_calls(batch):
+        def dsigma_calls(model):
             calls = []
 
             def counted(t, x):
                 calls.append(1)
-                return batch.model.dsigma(t, x)
+                return model.dsigma(t, x)
 
-            probe = replace(batch, model=replace(batch.model, dsigma=counted))
-            skorokhod_batch(probe)
+            grid = TimeGrid(horizon=1.0, steps=16)
+            inc = sample_brownian_block(grid, model.d, 18, 0, 1)
+            skorokhod_batch(simulate_variation_batch(replace(model, dsigma=counted), grid, inc, [0.3]))
             return len(calls)
 
-        ou = _path("ornstein_uhlenbeck", 16, 18, [0.3])
+        ou = make_model("ornstein_uhlenbeck")
         assert dsigma_calls(ou) == 0
-        assert dsigma_calls(_flag_cleared(ou)) >= 1
-        assert dsigma_calls(_path("state_dependent_tanh", 16, 18, [0.3])) >= 1
+        assert dsigma_calls(replace(ou, state_independent_diffusion=False)) >= 1
+        assert dsigma_calls(make_model("state_dependent_tanh")) >= 1
 
 
 class TestOnePass:
@@ -418,6 +407,20 @@ class TestOnePass:
             assert one.n_sim_invalid.tolist() == [0, 0, 31, 239]
             assert one.n_singular.tolist() == [0, 0, 16, 14]
 
+    def test_chunk_rows_match_single_path_runs(self):
+        # Every contraction has a fixed order, so a path's integrals do not
+        # depend on the size of the batch it runs in, dsigma terms included.
+        model = _sheared_tanh_2d()
+        grid = TimeGrid(horizon=1.0, steps=16)
+        x0, nodes = [0.3, -0.2], [8, 16]
+        chunk = harvest_paths(model, grid, x0, 2048, seed=23, nodes=nodes)
+        for p in (0, 1, 1000, 2047):
+            inc = sample_brownian_block(grid, model.d, 23, p, 1)
+            one = simulate_variation_batch(model, grid, inc, x0, nodes=nodes)
+            assert np.array_equal(chunk.X_t[p], one.X[0, 1:])
+            for key, value in skorokhod_batch(one, nodes).items():
+                assert np.array_equal(getattr(chunk, key)[p], value[0]), (p, key)
+
     def test_path_that_overflows_later_counts_until_then(self):
         # Path 2 overflows in step 10, so it is finite through node 10 and
         # excluded as a simulation failure from node 11 on. Up to node 10 no
@@ -448,26 +451,41 @@ class TestOnePass:
         with pytest.raises(ValueError, match="nodes must lie in"):
             skorokhod_batch(batch, [0, 16])
 
-    @pytest.mark.parametrize("name,x0", [("ornstein_uhlenbeck", [0.3]), ("linear_multidim", [0.3, -0.2])])
-    def test_clearing_the_affine_flag_keeps_every_bit(self, name, x0):
-        # The flag only skips work whose result is exactly zero.
+    @pytest.mark.parametrize(
+        "name,x0",
+        [
+            ("ornstein_uhlenbeck", [0.3]),
+            ("linear_multidim", [0.3, -0.2]),
+            ("bounded_nonlinear_drift", [0.5]),
+        ],
+    )
+    def test_clearing_a_flag_keeps_every_bit(self, name, x0):
+        # Each flag only skips work whose result is exactly zero, and the
+        # coefficient it gates is never evaluated while it is set.
         model = make_model(name)
         grid = TimeGrid(horizon=1.0, steps=32)
         inc = sample_brownian_block(grid, model.d, 19, 0, 16)
         flagged = simulate_variation_batch(model, grid, inc, x0)
-        general = simulate_variation_batch(replace(model, affine_coefficients=False), grid, inc, x0)
-        for field in ("X", "Y", "Yinv", "Z", "valid"):
-            assert np.array_equal(getattr(flagged, field), getattr(general, field)), field
-        want = skorokhod_batch(general, [8, 32])
-        got = skorokhod_batch(flagged, [8, 32])
-        for key in want:
-            npt.assert_array_equal(got[key], want[key])
+        want = harvest_paths(model, grid, x0, 600, seed=19, nodes=[8, 32])
+        gated = {"affine_coefficients": "d2b", "state_independent_diffusion": "dsigma"}
+        for flag, coeff in gated.items():
+            if not getattr(model, flag):
+                continue
+            cleared = replace(model, **{flag: False})
+            general = simulate_variation_batch(cleared, grid, inc, x0)
+            for field in ("X", "Y", "Yinv", "Z", "finite", "valid"):
+                assert np.array_equal(getattr(flagged, field), getattr(general, field)), field
+            for key, s in flagged.sums.items():
+                assert np.array_equal(s, general.sums[key]), key
+            got = harvest_paths(cleared, grid, x0, 600, seed=19, nodes=[8, 32])
+            for field in fields(want):
+                npt.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
 
-        calls = []
+            calls = []
 
-        def counted(t, x):
-            calls.append(1)
-            return model.d2b(t, x)
+            def counted(t, x, fn=getattr(model, coeff)):
+                calls.append(1)
+                return fn(t, x)
 
-        simulate_variation_batch(replace(model, d2b=counted), grid, inc, x0)
-        assert calls == []
+            simulate_variation_batch(replace(model, **{coeff: counted}), grid, inc, x0)
+            assert calls == [], flag

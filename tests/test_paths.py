@@ -312,8 +312,10 @@ def test_single_paths_are_row_slices_of_a_batch(name, x0):
         assert np.array_equal(one_inc[0], inc[p])
         one = simulate_variation_batch(model, g, one_inc, x0=x0)
         sliced = block.take([p])
-        for field in ("X", "Y", "Yinv", "Z", "dB", "valid"):
+        for field in ("X", "Y", "Yinv", "Z", "finite", "valid"):
             assert np.array_equal(getattr(sliced, field), getattr(one, field)), field
+        for key, s in sliced.sums.items():
+            assert np.array_equal(s, one.sums[key]), key
         one_bundle = compute_bundle_batch(one)
         assert np.array_equal(block_bundle.gamma[p], one_bundle.gamma[0])
         assert np.array_equal(block_bundle.F[p], one_bundle.F[0])
