@@ -21,6 +21,12 @@ from dataclasses import replace
 
 import numpy as np
 
+# The bare package is cheap, and the versions line of summary.txt names it;
+# importing it here keeps its cost in start-up. No command imports
+# scipy.linalg, whose import alone costs more than a score request.
+import scipy
+import yaml
+
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .estimator import (
@@ -56,9 +62,6 @@ def _timing(label: str, t0: float) -> None:
 
 
 def _versions() -> str:
-    import scipy
-    import yaml
-
     py = ".".join(str(v) for v in sys.version_info[:3])
     return (
         f"python {py}, numpy {np.__version__}, scipy {scipy.__version__}, "

@@ -21,9 +21,9 @@ worker count and chunk execution order.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass, fields
 
@@ -140,6 +140,8 @@ def harvest_paths(
     state = (model, grid.truncated(max(nodes)), np.asarray(x0, dtype=float), seed, nodes)
     global _FORK_STATE
     if workers > 1 and len(chunks) > 1:
+        import multiprocessing
+
         _FORK_STATE = state
         try:
             ctx = multiprocessing.get_context("fork")
@@ -370,6 +372,24 @@ def read_score_csv(fh) -> ScoreTable:
     )
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential: a degree-18 Taylor polynomial with scaling and squaring.
+
+    a is scaled by 2^-s so that its 1-norm is at most 1, where the
+    truncation error of the polynomial (below e / 19!) lies under the
+    rounding error; the result is squared s times.
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm))) if norm > 0.0 else 0
+    a = a / 2.0**s
+    eye = out = np.eye(a.shape[0])
+    for k in range(18, 0, -1):  # Horner: I + a (I + a/2 (I + ... a/18))
+        out = eye + a @ out / k
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def analytic_score_linear(model: SdeModel, t: float, x0, y) -> np.ndarray:
     """Closed-form Gaussian score for the linear builtins.
 
@@ -391,8 +411,6 @@ def analytic_score_linear(model: SdeModel, t: float, x0, y) -> np.ndarray:
             var = sigma0**2 * (1.0 - math.exp(-2.0 * theta * t)) / (2.0 * theta)
         return -(y - mean) / var
     if model.name == "linear_multidim":
-        from scipy.linalg import expm
-
         A = np.array(model.params["A"])
         Sig = np.array(model.params["Sigma"])
         Q = Sig @ Sig.T
@@ -401,9 +419,9 @@ def analytic_score_linear(model: SdeModel, t: float, x0, y) -> np.ndarray:
         blk[:m, :m] = -A
         blk[:m, m:] = Q
         blk[m:, m:] = A.T
-        E = expm(blk * t)
+        E = _expm(blk * t)
         cov = E[m:, m:].T @ E[:m, m:]
-        mean = expm(A * t) @ x0
+        mean = _expm(A * t) @ x0
         return -np.einsum("ij,...j->...i", np.linalg.inv(cov), y - mean)
     raise ValueError(f"no closed-form score for model '{model.name}'")
 
@@ -419,6 +437,35 @@ class AnalyticScoreProvider:
 
     def score(self, t: float, x: np.ndarray) -> np.ndarray:
         return analytic_score_linear(self.model, t, self.x0, x)
+
+
+def _multilinear(axes, values, x):
+    """Multilinear interpolation of values (n_1, ..., n_m, k) on the grid axes at x (Q, m).
+
+    Each query lies in the cell whose lower corner is the last grid value
+    at or below it (the last cell for the upper end), and the result sums
+    the cell's 2^m corner values times their weights. The arithmetic and
+    its order are those of scipy's RegularGridInterpolator, so a nan corner
+    spreads to every query in its cells, weight zero or not. x must lie
+    within the axes.
+    """
+    corners = []
+    for j, g in enumerate(axes):
+        q = x[:, j]
+        lo = np.clip(np.searchsorted(g, q, side="right") - 1, 0, max(len(g) - 2, 0))
+        hi = np.minimum(lo + 1, len(g) - 1)
+        # A one-point axis has no width; its query sits on the point.
+        width = g[hi] - g[lo]
+        w = (q - g[lo]) / np.where(width > 0, width, 1.0)
+        corners.append(((lo, 1.0 - w), (hi, w)))
+    out = 0.0
+    for corner in itertools.product(*corners):
+        idx, weights = zip(*corner)
+        weight = 1.0
+        for w in weights:
+            weight = weight * w
+        out = out + values[idx] * weight[:, None]
+    return out
 
 
 class TableScoreProvider:
@@ -445,9 +492,9 @@ class TableScoreProvider:
             order = np.argsort(x)
             self._interp[node] = ("1d", x[order], scores[order])
         else:
-            from scipy.interpolate import RegularGridInterpolator
-
-            axes = [np.unique(table.points[:, j]) for j in range(m)]
+            # Sorted distinct values per axis; a set, since np.unique would
+            # import numpy.ma into the request.
+            axes = [np.array(sorted(set(table.points[:, j].tolist()))) for j in range(m)]
             shape = tuple(len(a) for a in axes)
             if int(np.prod(shape)) != table.points.shape[0]:
                 raise ScoreProviderGap(
@@ -455,10 +502,7 @@ class TableScoreProvider:
                 )
             order = np.lexsort(tuple(table.points[:, j] for j in reversed(range(m))))
             grids = scores[order].reshape(shape + (m,))
-            self._interp[node] = (
-                "nd",
-                RegularGridInterpolator(axes, grids, bounds_error=True),
-            )
+            self._interp[node] = ("nd", axes, grids)
 
     def score(self, t: float, x: np.ndarray) -> np.ndarray:
         node = self.grid.node_index(t)
@@ -477,11 +521,10 @@ class TableScoreProvider:
             out = np.empty((x.shape[0], 1))
             out[:, 0] = np.interp(q, xs, scores[:, 0])
         else:
-            (interp,) = rest
-            try:
-                out = interp(x)
-            except ValueError as e:
-                raise ScoreProviderGap(f"reverse state left the score table hull at node {node}") from e
+            axes, grids = rest
+            if not all(np.all((g[0] <= x[:, j]) & (x[:, j] <= g[-1])) for j, g in enumerate(axes)):
+                raise ScoreProviderGap(f"reverse state left the score table hull at node {node}")
+            out = _multilinear(axes, grids, x)
         if not np.all(np.isfinite(out)):
             raise ScoreProviderGap(f"score table at node {node} has gaps (flagged points) in the queried region")
         return out

@@ -48,12 +48,14 @@ again.
 
 Nothing above depends on N being the last grid node: with any node n as the
 terminal time, the sums run over steps 0..n-1. The Euler loop of
-simulate_variation_batch therefore folds each step into the seven sums as it
-goes (_fold_step, with O(m^4) state per path) and keeps them, with (Y, Z),
-at the nodes it is asked for. skorokhod_batch only contracts the sums kept at
-each requested node n with (Y_n, Z_n) and gamma = Y_n Gamma Y_n^T. One
-simulation to the last requested node serves every earlier one, and no
-per-step array of the whole path is formed.
+simulate_variation_batch therefore folds each step into the sums as it goes
+(_fold_step, with O(m^4) state per path) and keeps them, with (Y, Z), at the
+nodes it is asked for. It keeps only the sums the model's flags leave
+nonzero: B1 enters only through Z, so an affine model drops it, and with
+both flags set R_n = 0 and only P and Gamma remain. skorokhod_batch only
+contracts the sums kept at each requested node n with (Y_n, Z_n) and
+gamma = Y_n Gamma Y_n^T. One simulation to the last requested node serves
+every earlier one, and no per-step array of the whole path is formed.
 """
 
 from __future__ import annotations
@@ -142,26 +144,35 @@ def compute_bundle_batch(batch: TrajectoryBatch) -> BundleBatch:
     )
 
 
-def _zero_sums(B: int, m: int) -> dict:
-    """The seven running sums over no steps: P, A, Gam, R_tot, B1, B2, C2."""
-    shapes = dict(P=1, A=1, Gam=2, R_tot=3, B1=4, B2=3, C2=3)
-    return {name: np.zeros((B,) + (m,) * rank) for name, rank in shapes.items()}
+def _zero_sums(model: SdeModel, B: int) -> dict:
+    """The running sums over no steps that the model's flags leave in use.
+
+    P and Gam always. B1 enters delta only through Z, so a model flagged
+    affine_coefficients drops it; A, R_tot, B2 and C2 are sums of R_n,
+    which is zero when both flags are set, as on the linear builtins.
+    """
+    ranks = dict(P=1, Gam=2)
+    if not model.affine_coefficients:
+        ranks["B1"] = 4
+    if not (model.affine_coefficients and model.state_independent_diffusion):
+        ranks.update(A=1, R_tot=3, B2=3, C2=3)
+    return {name: np.zeros((B,) + (model.m,) * rank) for name, rank in ranks.items()}
 
 
 def _fold_step(sums: dict, model: SdeModel, dt: float, yinv, sig, z, dsY, dW) -> None:
-    """Add Euler step n to the running sums, in place.
+    """Add Euler step n to the running sums of _zero_sums, in place.
 
     yinv, sig and z are Yinv_n, sigma_n and Z_n at the left node, dsY is
     dsigma_n . Y_n (None on a model flagged state_independent_diffusion)
-    and dW the increment of the step. R_n is skipped where it is zero: its Z
-    term on a model flagged affine_coefficients, its dsigma term when dsY
-    is None, and all of it, with A, B2, C2 and R_tot, when both hold.
+    and dW the increment of the step. R_n skips its Z term on a model
+    flagged affine_coefficients and its dsigma term when dsY is None.
     """
     V = np.einsum("bij,bjl->bil", yinv, sig)
     S = dt * np.einsum("bjl,bql->bjq", V, V)
     sums["P"] += np.einsum("bil,bl->bi", V, dW)
-    sums["B1"] += np.einsum("bjy,bxe->bjyxe", S, sums["Gam"])
-    if not (model.affine_coefficients and dsY is None):
+    if "B1" in sums:
+        sums["B1"] += np.einsum("bjy,bxe->bjyxe", S, sums["Gam"])
+    if "R_tot" in sums:
         if model.affine_coefficients:
             R = np.zeros(S.shape + (S.shape[-1],))
         else:
@@ -200,9 +211,10 @@ def skorokhod_batch(batch: TrajectoryBatch, nodes=None) -> dict:
     if not wanted or min(wanted) < 1 or max(wanted) > grid.steps:
         raise ValueError(f"nodes must lie in [1, {grid.steps}], got {nodes}")
     walk, order = np.unique(wanted, return_inverse=True)
-    missing = np.setdiff1d(walk, batch.nodes)
-    if missing.size:
-        raise ValueError(f"nodes {missing.tolist()} were not kept by the simulation")
+    # A set, not np.setdiff1d, which would import numpy.ma into the request.
+    missing = sorted(set(walk.tolist()) - set(batch.nodes.tolist()))
+    if missing:
+        raise ValueError(f"nodes {missing} were not kept by the simulation")
     # Paths that are not finite carry nan or inf through the einsums and are
     # masked at each node; silence the arithmetic warnings they would trigger.
     out = {}
@@ -216,26 +228,35 @@ def skorokhod_batch(batch: TrajectoryBatch, nodes=None) -> dict:
     return out
 
 
-def _terms_at_node(Yn, Zn, finite, P, A, Gam, R_tot, B1, B2, C2) -> dict:
-    """Contract the running sums with (Y_n, Z_n) and gamma at one node n."""
+def _terms_at_node(Yn, Zn, finite, P, Gam, A=None, R_tot=None, B1=None, B2=None, C2=None) -> dict:
+    """Contract the running sums with (Y_n, Z_n) and gamma at one node n.
+
+    The sums that _zero_sums left out are identically zero, and so is every
+    term they feed: without R_tot, a, b and c are exact zeros; without B1,
+    Z_n is zero and its terms are skipped.
+    """
     gamma = np.einsum("bpx,bxy,bqy->bpq", Yn, Gam, Yn)
     cond, singular, gi = _invert_gram(gamma, finite)
     F = np.einsum("bji,bjk->bik", Yn, gi)
     ito = np.einsum("bik,bi->bk", F, P)
-
-    a_vec = np.einsum("bpxy,bxy->bp", Zn, Gam) - np.einsum("bpr,br->bp", Yn, A)
-    a = np.einsum("bp,bpk->bk", a_vec, gi)
-
-    # Kernels K[j, p, q] of the s < t (b) and s >= t (c) parts of D gamma.
-    Kb = np.einsum("bpxy,bjyxe->bjpe", Zn, B1) - np.einsum("bpr,bjre->bjpe", Yn, B2)
-    Kb = np.einsum("bjpe,bqe->bjpq", Kb, Yn)
-    GG = np.einsum("bjy,bxe->bjyxe", Gam, Gam) - B1
-    GR = np.einsum("bjr,bexr->bjex", Gam, R_tot) - C2
-    Kc = np.einsum("bpxy,bjyxe,bqe->bjpq", Zn, GG, Yn) - np.einsum(
-        "bpx,bqe,bjex->bjpq", Yn, Yn, GR
-    )
-    b = np.einsum("bja,bjaq,bqk->bk", F, Kb + np.swapaxes(Kb, -1, -2), gi)
-    c = np.einsum("bja,bjaq,bqk->bk", F, Kc + np.swapaxes(Kc, -1, -2), gi)
+    if R_tot is None:
+        a, b, c = (np.zeros_like(ito) for _ in range(3))
+    else:
+        # a_vec, and the kernels K[j, p, q] of the s < t (b) and s >= t (c)
+        # parts of D gamma: the R_n terms, then the Z_n terms added.
+        a_vec = -np.einsum("bpr,br->bp", Yn, A)
+        Kb = -np.einsum("bpr,bjre->bjpe", Yn, B2)
+        GR = np.einsum("bjr,bexr->bjex", Gam, R_tot) - C2
+        Kc = -np.einsum("bpx,bqe,bjex->bjpq", Yn, Yn, GR)
+        if B1 is not None:
+            a_vec += np.einsum("bpxy,bxy->bp", Zn, Gam)
+            Kb += np.einsum("bpxy,bjyxe->bjpe", Zn, B1)
+            GG = np.einsum("bjy,bxe->bjyxe", Gam, Gam) - B1
+            Kc += np.einsum("bpxy,bjyxe,bqe->bjpq", Zn, GG, Yn)
+        a = np.einsum("bp,bpk->bk", a_vec, gi)
+        Kb = np.einsum("bjpe,bqe->bjpq", Kb, Yn)
+        b = np.einsum("bja,bjaq,bqk->bk", F, Kb + np.swapaxes(Kb, -1, -2), gi)
+        c = np.einsum("bja,bjaq,bqk->bk", F, Kc + np.swapaxes(Kc, -1, -2), gi)
 
     total = ito - a + b + c
     # On an extreme path a finite gamma can still leave an integral overflowed;

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .estimator import harvest_paths, silverman_bandwidth
 from .malliavin import compute_bundle_batch
@@ -319,6 +318,10 @@ def fokker_planck_1d(
     every k-th step. The coefficients are frozen at t = 0, so a model whose
     b or sigma on the mesh differs between t = 0 and t = horizon is refused.
     """
+    # Imported here: scipy.linalg's package import costs more than a whole
+    # score request, and no CLI command reaches this solver.
+    from scipy.linalg import solve_banded
+
     if model.m != 1:
         raise ValueError("the density solver is one-dimensional")
     if not x_min < x0 < x_max:

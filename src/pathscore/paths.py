@@ -9,7 +9,7 @@ with shared increments:
 
 The inverse first variation Yinv_t = Y_t^{-1} is not simulated: each step
 inverts the current Y, so Y_t Yinv_t = I to rounding. The same pass folds
-the step into the seven running sums from which malliavin.skorokhod_batch
+the step into the running sums from which malliavin.skorokhod_batch
 reads the anticipating integrals, so it is the only pass over the path,
 and keeps both only at the requested nodes. On a model flagged
 ``affine_coefficients`` Z stays at its zero start, and on one flagged
@@ -27,6 +27,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+# numpy loads numpy.random on first use; importing it here keeps that cost
+# in start-up, not in the first request that draws noise.
+import numpy.random
 
 from .malliavin import _fold_step, _zero_sums
 from .models import SdeModel
@@ -99,8 +103,9 @@ class TrajectoryBatch:
     The node quantities are kept at the grid indices ``nodes`` (K of them,
     ascending, node 0 first): X (B, K, m); Y, Yinv (B, K, m, m);
     Z (B, K, m, m, m); finite (B, K) marks paths that stayed finite at every
-    node up to and including the kept one; ``sums`` holds the seven running
-    sums over the steps before each kept node, each (B, K, ...).
+    node up to and including the kept one; ``sums`` holds the running sums
+    of malliavin._zero_sums over the steps before each kept node, each
+    (B, K, ...).
     valid (B,) marks paths finite to the end. The increments are not kept.
     """
 
@@ -144,8 +149,8 @@ def simulate_variation_batch(
 
     ``increments`` has shape (B, steps, d). Each step evaluates the model's
     coefficients once at the left node, forms Yinv_n (the reciprocal when
-    m = 1, else the matrix inverse), adds the step to the seven running sums
-    of malliavin._fold_step and advances the state. The node quantities
+    m = 1, else the matrix inverse), adds the step to the running sums of
+    malliavin._fold_step and advances the state. The node quantities
     and the sums are kept at node 0 and at the grid indices ``nodes``
     (default: every node), so a score run holds no per-step array.
 
@@ -160,7 +165,11 @@ def simulate_variation_batch(
         raise ValueError(f"increments must have shape (B, {grid.steps}, {model.d})")
     B = inc.shape[0]
     m, N, dt = model.m, grid.steps, grid.dt
-    keep = np.arange(N + 1) if nodes is None else np.union1d([0], np.asarray(nodes, dtype=int))
+    if nodes is None:
+        keep = np.arange(N + 1)
+    else:
+        # A set, not np.union1d, which would import numpy.ma into the request.
+        keep = np.array(sorted({0, *np.asarray(nodes, dtype=int).ravel().tolist()}))
     if keep.min() < 0 or keep.max() > N:
         raise ValueError(f"nodes must lie in [0, {N}], got {nodes}")
     slot = dict(zip(keep.tolist(), range(len(keep))))
@@ -171,7 +180,7 @@ def simulate_variation_batch(
     y = np.array(np.broadcast_to(np.eye(m), (B, m, m)))
     z = np.zeros((B, m, m, m))
     alive = np.ones(B, dtype=bool)
-    sums = _zero_sums(B, m)
+    sums = _zero_sums(model, B)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(N + 1):

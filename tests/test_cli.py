@@ -5,11 +5,15 @@ so these tests exercise exactly what a shell user gets.
 """
 
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import pathscore
 from pathscore import oracles
 from pathscore.cli import BREAKDOWN_HEADER, main
 
@@ -417,3 +421,71 @@ class TestErrorPaths:
             capsys,
             "no closed-form",
         )
+
+
+# The requests of this script run after `import pathscore.cli` in a fresh
+# interpreter; it prints the modules that they imported. Its configs are
+# JSON, which is YAML.
+REQUESTS_SCRIPT = """
+import json, os, sys
+import pathscore, pathscore.cli
+
+out = sys.argv[1]
+
+
+def run(i, command, model, steps, x0, section):
+    cfg = os.path.join(out, f"{i}.yaml")
+    with open(cfg, "w") as fh:
+        json.dump({"model": {"name": model}, "grid": {"horizon": 1.0, "steps": steps},
+                   "sampling": {"x0": x0, "n_paths": 256, "seed": 3}, **section}, fh)
+    assert pathscore.cli.main([command, "--config", cfg, "--out", os.path.join(out, str(i))]) == 0
+
+
+def score(steps, lo, hi, n):
+    t_eval = [k / steps for k in range(1, steps + 1)]
+    return {"score": {"t_eval": t_eval, "y_min": lo, "y_max": hi, "y_count": n, "knn": 20}}
+
+
+def reverse(provider, **tables):
+    return {"reverse": {"provider": provider, "n_samples": 64, **tables}}
+
+
+tanh = ("state_dependent_tanh", 8, [0.3])
+lin = ("linear_multidim", 4, [0.3, -0.2])
+before = set(sys.modules)
+run(0, "score", *tanh, score(8, [-6.0], [6.0], [25]))
+run(1, "reverse", *tanh, reverse("tables", tables_dir=os.path.join(out, "0")))
+run(2, "score", *lin, score(4, [-5.0, -5.0], [5.0, 5.0], [9, 9]))
+run(3, "reverse", *lin, reverse("analytic"))
+run(4, "reverse", *lin, reverse("tables", tables_dir=os.path.join(out, "2")))
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that imports pathscore from this checkout."""
+    src = os.path.dirname(os.path.dirname(pathscore.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+class TestImportGraph:
+    def test_cli_import_leaves_out_the_heavy_modules(self):
+        # scipy.linalg's package import costs more than a small score
+        # request; only the Fokker-Planck oracle needs it, and no command
+        # calls that. multiprocessing is needed only for workers > 1.
+        loaded = _fresh_python(
+            "import sys, pathscore, pathscore.cli; print(' '.join(sys.modules))"
+        )
+        for heavy in ("scipy.linalg", "scipy.interpolate", "multiprocessing"):
+            assert heavy not in loaded
+
+    def test_requests_import_nothing_after_start_up(self, tmp_path):
+        # k-NN score tables, a tables reverse from them, an m=2 score with
+        # its analytic comparison, and analytic and tables reverses at m=2.
+        # A module a request imports is paid for inside the request.
+        assert _fresh_python(REQUESTS_SCRIPT, str(tmp_path)) == []

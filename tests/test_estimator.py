@@ -21,6 +21,8 @@ from pathscore.estimator import (
     ScoreProviderGap,
     ScoreTable,
     TableScoreProvider,
+    _expm,
+    _multilinear,
     analytic_score_linear,
     chunk_size,
     estimate_score,
@@ -308,6 +310,29 @@ class TestAnalyticScore:
         got = analytic_score_linear(model, t, x0, y)
         npt.assert_allclose(got, want, rtol=1e-6)
 
+    def test_expm_on_the_van_loan_block(self):
+        from scipy.linalg import expm
+
+        model = make_model("linear_multidim")
+        A = np.array(model.params["A"])
+        Sig = np.array(model.params["Sigma"])
+        blk = np.block([[-A, Sig @ Sig.T], [np.zeros((2, 2)), A.T]])
+        for t in (1.0 / 128, 0.5, 1.0, 5.0):
+            want = expm(blk * t)
+            assert np.abs(_expm(blk * t) - want).max() <= 1e-13 * np.abs(want).max(), t
+
+    def test_expm_on_random_matrices(self):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            a = rng.standard_normal((n, n))
+            a *= rng.uniform(0.0, 10.0) / np.abs(a).sum(axis=0).max()
+            want = expm(a)
+            assert np.abs(_expm(a) - want).max() <= 1e-11 * np.abs(want).max()
+        assert np.array_equal(_expm(np.zeros((3, 3))), np.eye(3))
+
     def test_refusals(self):
         ou = make_model("ornstein_uhlenbeck")
         with pytest.raises(ValueError, match="t > 0"):
@@ -398,6 +423,37 @@ class TestTableProvider:
         provider = TableScoreProvider({4: self._table2d(drop_point=True)}, self._grid())
         with pytest.raises(ScoreProviderGap, match="regular grid"):
             provider.score(1.0, np.array([[0.5, 0.5]]))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_interpolation_matches_scipy(self, m):
+        from scipy.interpolate import RegularGridInterpolator
+
+        rng = np.random.default_rng(40 + m)
+        for uniform in (True, False):
+            axes = [
+                np.linspace(-2.0, 2.0, n) if uniform else np.sort(rng.uniform(-2.0, 2.0, n))
+                for n in rng.integers(2, 12, size=m)
+            ]
+            shape = tuple(len(g) for g in axes)
+            values = rng.standard_normal(shape + (m,))
+            values[tuple(rng.integers(0, n) for n in shape) + (0,)] = np.nan
+            x = np.stack([rng.uniform(g[0], g[-1], 400) for g in axes], axis=1)
+            x[:40, 0] = axes[0][-1]  # on the upper boundary of one axis
+            x[40:50] = [g[-1] for g in axes]  # the upper corner
+            x[50:60] = [g[0] for g in axes]
+            x[60:80, 1] = rng.choice(axes[1], 20)  # on interior grid lines
+            want = RegularGridInterpolator(axes, values, bounds_error=True)(x)
+            got = _multilinear(axes, values, x)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.isnan(want).any() and not np.isnan(want).all()
+            ok = ~np.isnan(want)
+            assert np.abs(got[ok] - want[ok]).max() <= 1e-14
+        # A one-point axis (y_count 1) holds its query on the point.
+        axes[0] = axes[0][:1]
+        x[:, 0] = axes[0][0]
+        values = values[:1]
+        want = RegularGridInterpolator(axes, values, bounds_error=True)(x)
+        npt.assert_allclose(_multilinear(axes, values, x), want, rtol=0, atol=1e-14)
 
 
 class TestReverseSampler:

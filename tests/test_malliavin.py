@@ -457,15 +457,20 @@ class TestOnePass:
             ("ornstein_uhlenbeck", [0.3]),
             ("linear_multidim", [0.3, -0.2]),
             ("bounded_nonlinear_drift", [0.5]),
+            ("state_dependent_tanh", [0.3]),
         ],
     )
     def test_clearing_a_flag_keeps_every_bit(self, name, x0):
         # Each flag only skips work whose result is exactly zero, and the
-        # coefficient it gates is never evaluated while it is set.
+        # coefficient it gates is never evaluated while it is set. The
+        # simulation keeps only the running sums that are not zero.
         model = make_model(name)
         grid = TimeGrid(horizon=1.0, steps=32)
         inc = sample_brownian_block(grid, model.d, 19, 0, 16)
         flagged = simulate_variation_batch(model, grid, inc, x0)
+        linear = name in ("ornstein_uhlenbeck", "linear_multidim")
+        kept = {"P", "Gam"} if linear else {"P", "A", "Gam", "R_tot", "B1", "B2", "C2"}
+        assert set(flagged.sums) == kept
         want = harvest_paths(model, grid, x0, 600, seed=19, nodes=[8, 32])
         gated = {"affine_coefficients": "d2b", "state_independent_diffusion": "dsigma"}
         for flag, coeff in gated.items():
