@@ -58,7 +58,7 @@ log = logging.getLogger("pathscore")
 
 
 def _timing(label: str, t0: float) -> None:
-    log.info("%s: %.2fs", label, time.time() - t0)
+    log.info("%s: %.2fs", label, time.perf_counter() - t0)
 
 
 def _versions() -> str:
@@ -174,7 +174,7 @@ def _write_breakdown(path: str, harvest, j: int) -> None:
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, workers: int) -> int:
     model, grid, x0 = _build(cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
     ch = chunk_size(model.m)
     n_invalid = 0
     dumped = 0
@@ -207,7 +207,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, workers: int) -> int:
 
 def cmd_duality(cfg: RunConfig, out_dir: str, workers: int) -> int:
     model, grid, x0 = _build(cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = duality_report(model, grid, x0, cfg.n_paths, cfg.seed, workers=workers)
     _timing("duality", t0)
     with open(os.path.join(out_dir, "duality.csv"), "w") as fh:
@@ -238,6 +238,7 @@ def cmd_reverse(cfg: RunConfig, out_dir: str, workers: int) -> int:
         pat = re.compile(r"score_n(\d+)\.csv$")
         if not os.path.isdir(cfg.reverse_tables_dir):
             raise ConfigError(f"reverse.tables_dir: no such directory {cfg.reverse_tables_dir}")
+        t0 = time.perf_counter()
         for name in sorted(os.listdir(cfg.reverse_tables_dir)):
             hit = pat.match(name)
             if hit:
@@ -248,7 +249,8 @@ def cmd_reverse(cfg: RunConfig, out_dir: str, workers: int) -> int:
                 f"reverse.tables_dir: no score_n*.csv tables in {cfg.reverse_tables_dir}"
             )
         provider = TableScoreProvider(tables, grid)
-    t0 = time.time()
+        _timing("tables", t0)
+    t0 = time.perf_counter()
     samples = reverse_time_sample(
         model, provider, grid, cfg.reverse_samples, cfg.seed, x0
     )
@@ -347,7 +349,7 @@ def _validate_checks(cfg: RunConfig, workers: int):
         f"({cfg.bump_probes} probes, eps={eps:.2e})",
     )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     dual = duality_report(model, grid, x0, cfg.validate_paths, cfg.seed, workers=workers)
     _timing("validate duality", t0)
     yield (

@@ -11,7 +11,11 @@ sums, and skorokhod_batch contracts the sums kept at each time.
 The conditional expectation uses Nadaraya-Watson weights with a Gaussian
 product kernel (bandwidth per dimension, Silverman by default) or an optional
 k-nearest-neighbor window, fitted separately at each time. Standard errors
-come from the delta method for the weighted ratio.
+come from the delta method for the weighted ratio, and from the window's
+sample standard deviation for k-NN. At m = 1 the k-NN windows come from one
+sort of X_t per time, O(n log n + Q k) for n paths and Q points: equal X
+values keep path-index order, and at an equal-distance boundary the window
+keeps the lower X.
 
 Path blocks are processed in fixed-size chunks whose size depends only on the
 model dimension, and every path draws its noise from a counter-based stream
@@ -166,6 +170,7 @@ def silverman_bandwidth(X: np.ndarray) -> np.ndarray:
 
 
 MIN_EFFECTIVE_SAMPLES = 5.0
+_KNN_GATHER = 2**18
 
 
 @dataclass
@@ -210,11 +215,33 @@ def _nw_tables(X, delta, points, h):
 
 
 def _knn_tables(X, delta, points, k):
-    Q, m = points.shape[0], X.shape[1]
-    k = min(k, X.shape[0])
-    scores = np.full((Q, m), np.nan)
-    stderr = np.full((Q, m), np.nan)
+    """Means of -delta over each point's k nearest samples, with their SEs.
+
+    At m = 1 the k nearest samples of y form a contiguous window [s, s + k)
+    of the sample sorted by X: one stable sort per node and one binary
+    search for all points, O(n log n + Q k). The window starts at the
+    smallest s with xs[s] + xs[s + k] >= 2y, so at an equal-distance
+    boundary it keeps the lower X, and equal X values keep path-index order.
+    Points beyond the sample get its end windows. At m >= 2 each point scans
+    the distance to every sample, O(Q n).
+    """
+    Q, (n, m) = points.shape[0], X.shape
+    k = min(k, n)
     n_eff = np.full(Q, float(k))
+    if m == 1:
+        order = np.argsort(X[:, 0], kind="stable")
+        xs, ds = X[order, 0], delta[order]
+        start = np.searchsorted(xs[:-k] + xs[k:], 2.0 * points[:, 0])
+        scores, stderr = np.empty((Q, 1)), np.empty((Q, 1))
+        # Gather at most _KNN_GATHER samples at a time, so memory stays O(n).
+        rows = max(1, _KNN_GATHER // k)
+        for lo in range(0, Q, rows):
+            sel = ds[start[lo : lo + rows, None] + np.arange(k)]
+            scores[lo : lo + rows] = -sel.mean(axis=1)
+            stderr[lo : lo + rows] = sel.std(axis=1, ddof=1) / math.sqrt(k)
+        return scores, stderr, n_eff
+    scores = np.empty((Q, m))
+    stderr = np.empty((Q, m))
     for q in range(Q):
         d2 = np.sum((X - points[q]) ** 2, axis=1)
         idx = np.argpartition(d2, k - 1)[:k]

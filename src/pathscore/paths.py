@@ -81,17 +81,22 @@ def sample_brownian_block(
     Row j comes from the Philox stream keyed on (seed, first_path + j) alone,
     so it is bit-identical to the single row drawn with first_path + j,
     n_paths=1. One generator serves the block: its state is reset to the
-    fresh state under each row's key.
+    fresh state under each row's key, and the row is drawn straight into
+    the output. The state setter validates the whole dict and copies it into
+    the generator on every row, so the loop keeps one fresh-state dict and
+    only rewrites its key entry in place; the copy means the write never
+    reaches a generator already in use.
     """
     out = np.empty((n_paths, grid.steps, noise_dim))
     root = math.sqrt(grid.dt)
     bits = np.random.Philox(key=np.array([seed, first_path], dtype=np.uint64))
     gen = np.random.Generator(bits)
     fresh = bits.state
+    key = fresh["state"]["key"]
     for j in range(n_paths):
-        fresh["state"]["key"] = np.array([seed, first_path + j], dtype=np.uint64)
+        key[1] = first_path + j
         bits.state = fresh
-        out[j] = gen.standard_normal((grid.steps, noise_dim))
+        gen.standard_normal(out=out[j])
     out *= root
     return out
 

@@ -177,7 +177,7 @@ class TestReverseCommand:
         assert "provider analytic" in summary
         assert "mean at t=0" in summary and "x0:" in summary
 
-    def test_table_provider_round_trip(self, tmp_path):
+    def test_table_provider_round_trip(self, tmp_path, capsys):
         steps = 8
         t_eval = ", ".join(str((k + 1) / steps) for k in range(steps))
         score_cfg = _write(
@@ -225,12 +225,18 @@ reverse:
             name="rev.yaml",
         )
         out = tmp_path / "rev_out"
+        capsys.readouterr()
         assert _run(["reverse", "--config", rev_cfg, "--out", str(out)]) == 0
         rows = (out / "reverse_samples.csv").read_text().splitlines()
         assert len(rows) == 1 + 300
         vals = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert np.all(np.isfinite(vals))
-        assert "provider tables" in (out / "summary.txt").read_text()
+        summary = (out / "summary.txt").read_text()
+        assert "provider tables" in summary
+        # Reading the tables gets its own timing line, on stderr only.
+        err = capsys.readouterr().err
+        assert "[timing] tables: " in err and "[timing] reverse: " in err
+        assert "[timing]" not in summary
 
 
 class TestValidateCommand:

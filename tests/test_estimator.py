@@ -22,6 +22,7 @@ from pathscore.estimator import (
     ScoreTable,
     TableScoreProvider,
     _expm,
+    _knn_tables,
     _multilinear,
     analytic_score_linear,
     chunk_size,
@@ -93,6 +94,40 @@ class TestKernelRegression:
         scores, stderr, n_eff = _nw_tables(X, delta, np.array([[50.0]]), np.array([0.1]))
         assert n_eff[0] < MIN_EFFECTIVE_SAMPLES
         assert np.isnan(scores[0, 0]) and np.isnan(stderr[0, 0])
+
+    @staticmethod
+    def _brute_knn(X, delta, points, k):
+        """Neighbour masks (Q, n), scores and SEs from a full sort of the distances."""
+        masks, scores, stderr = [], [], []
+        for y in points:
+            idx = np.argsort(np.linalg.norm(X - y, axis=1))[:k]
+            masks.append(np.isin(np.arange(X.shape[0]), idx))
+            scores.append(-delta[idx].mean(axis=0))
+            stderr.append(delta[idx].std(axis=0, ddof=1) / math.sqrt(k))
+        return np.array(masks), np.array(scores), np.array(stderr)
+
+    @pytest.mark.parametrize("m, k", [(1, 10), (1, 149), (1, 150), (2, 10)])
+    def test_knn_matches_brute_force(self, m, k):
+        # Continuous data, so no two distances tie and the neighbour set is unique.
+        rng = np.random.default_rng(21)
+        n = 150
+        X = rng.standard_normal((n, m))
+        delta = 3.0 + rng.standard_normal((n, m))
+        inner = np.linspace(-1.5, 1.5, 13)[:, None] * np.ones(m)
+        points = np.vstack([inner, X.min(axis=0) - 1.0, X.max(axis=0) + 0.5])
+        masks, s_ref, se_ref = self._brute_knn(X, delta, points, k)
+
+        scores, stderr, n_eff = _knn_tables(X, delta, points, k)
+        npt.assert_allclose(scores, s_ref, rtol=1e-12, atol=0)
+        npt.assert_allclose(stderr, se_ref, rtol=1e-12, atol=0)
+        npt.assert_array_equal(n_eff, float(k))
+        # Path i is among a point's neighbours iff a delta that is 1 on path i
+        # alone scores nonzero there.
+        for i in range(n):
+            onehot = np.zeros((n, m))
+            onehot[i] = 1.0
+            chosen = _knn_tables(X, onehot, points, k)[0][:, 0] != 0.0
+            npt.assert_array_equal(chosen, masks[:, i], err_msg=f"path {i}")
 
 
 class TestHarvest:
