@@ -12,10 +12,12 @@ The conditional expectation uses Nadaraya-Watson weights with a Gaussian
 product kernel (bandwidth per dimension, Silverman by default) or an optional
 k-nearest-neighbor window, fitted separately at each time. Standard errors
 come from the delta method for the weighted ratio, and from the window's
-sample standard deviation for k-NN. At m = 1 the k-NN windows come from one
-sort of X_t per time, O(n log n + Q k) for n paths and Q points: equal X
-values keep path-index order, and at an equal-distance boundary the window
-keeps the lower X.
+sample standard deviation for k-NN. Nadaraya-Watson costs O(Q n m) for n
+paths and Q points; it takes the points in blocks of _GATHER // n rows and
+works on (rows, n) arrays, so its memory is O(n) whatever Q is. At m = 1
+the k-NN windows come from one sort of X_t per time, O(n log n + Q k): equal
+X values keep path-index order, and at an equal-distance boundary the window
+keeps the lower X. At m >= 2 k-NN uses the same blocks, O(Q n).
 
 Path blocks are processed in fixed-size chunks whose size depends only on the
 model dimension, and every path draws its noise from a counter-based stream
@@ -170,7 +172,9 @@ def silverman_bandwidth(X: np.ndarray) -> np.ndarray:
 
 
 MIN_EFFECTIVE_SAMPLES = 5.0
-_KNN_GATHER = 2**18
+# The regressions handle at most this many (point, path) pairs at a time, so
+# their memory stays O(n) in the number of paths whatever the point count.
+_GATHER = 2**18
 
 
 @dataclass
@@ -193,25 +197,65 @@ class ScoreTable:
     excluded: np.ndarray  # (K,) paths excluded at each time
 
 
+def _sq_distances(X, points, scale=None):
+    """Squared (scaled) distances (Q, n) from each point to each sample, one axis at a time."""
+    d2 = None
+    for j in range(X.shape[1]):
+        z = np.subtract.outer(points[:, j], X[:, j])
+        if scale is not None:
+            z /= scale[j]
+        z *= z
+        if d2 is None:
+            d2 = z
+        else:
+            d2 += z
+    return d2
+
+
 def _nw_tables(X, delta, points, h):
-    Q, m = points.shape[0], X.shape[1]
-    scores = np.full((Q, m), np.nan)
-    stderr = np.full((Q, m), np.nan)
-    n_eff = np.zeros(Q)
-    for q in range(Q):
-        z = (X - points[q]) / h
-        w = np.exp(-0.5 * np.sum(z * z, axis=1))
-        den = w.sum()
-        wsq = float(w @ w)
-        if den > 0 and wsq > 0:
-            n_eff[q] = den * den / wsq
-        if n_eff[q] < MIN_EFFECTIVE_SAMPLES:
-            continue
-        ratio = (w[:, None] * delta).sum(axis=0) / den
-        resid = w[:, None] * (delta - ratio)
-        scores[q] = -ratio
-        stderr[q] = np.sqrt(np.sum(resid * resid, axis=0)) / den
+    """Nadaraya-Watson means of -delta at each point, with delta-method SEs.
+
+    The points are taken in blocks of _GATHER // n rows, so at most a few
+    (rows, n) arrays are alive at once. Points with effective sample size
+    (sum w)^2 / sum(w^2) below MIN_EFFECTIVE_SAMPLES are left nan.
+    """
+    Q, (n, m) = points.shape[0], X.shape
+    scores = np.empty((Q, m))
+    stderr = np.empty((Q, m))
+    n_eff = np.empty(Q)
+    rows = max(1, _GATHER // n)
+    for lo in range(0, Q, rows):
+        hi = min(Q, lo + rows)
+        scores[lo:hi], stderr[lo:hi], n_eff[lo:hi] = _nw_block(X, delta, points[lo:hi], h)
+    low = n_eff < MIN_EFFECTIVE_SAMPLES
+    scores[low] = np.nan
+    stderr[low] = np.nan
     return scores, stderr, n_eff
+
+
+def _nw_block(X, delta, points, h):
+    """One block of _nw_tables, from the (rows, n) Gaussian product-kernel weights w.
+
+    The ratio is w @ delta / sum(w), and its SE per direction k is
+    |w (delta_k - ratio_k)| / sum(w), from the centred residual.
+    """
+    w = _sq_distances(X, points, h)
+    w *= -0.5
+    np.exp(w, out=w)
+    den = w.sum(axis=1)
+    wsq = np.einsum("qi,qi->q", w, w)
+    stderr = np.empty((points.shape[0], X.shape[1]))
+    resid = np.empty_like(w)
+    # A point far from every sample has zero kernel mass; _nw_tables flags
+    # its row, so the 0/0 it meets here is never read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_eff = np.where((den > 0) & (wsq > 0), den * den / wsq, 0.0)
+        ratio = (w @ delta) / den[:, None]
+        for k in range(X.shape[1]):
+            np.subtract(delta[:, k], ratio[:, k, None], out=resid)
+            resid *= w
+            stderr[:, k] = np.sqrt(np.einsum("qi,qi->q", resid, resid)) / den
+    return -ratio, stderr, n_eff
 
 
 def _knn_tables(X, delta, points, k):
@@ -222,32 +266,31 @@ def _knn_tables(X, delta, points, k):
     search for all points, O(n log n + Q k). The window starts at the
     smallest s with xs[s] + xs[s + k] >= 2y, so at an equal-distance
     boundary it keeps the lower X, and equal X values keep path-index order.
-    Points beyond the sample get its end windows. At m >= 2 each point scans
-    the distance to every sample, O(Q n).
+    Points beyond the sample get its end windows. At m >= 2 the points are
+    taken in blocks of _GATHER // n rows: the squared distances to every
+    sample, one axis at a time, then one argpartition per block, O(Q n).
     """
     Q, (n, m) = points.shape[0], X.shape
     k = min(k, n)
     n_eff = np.full(Q, float(k))
+    scores, stderr = np.empty((Q, m)), np.empty((Q, m))
     if m == 1:
         order = np.argsort(X[:, 0], kind="stable")
         xs, ds = X[order, 0], delta[order]
         start = np.searchsorted(xs[:-k] + xs[k:], 2.0 * points[:, 0])
-        scores, stderr = np.empty((Q, 1)), np.empty((Q, 1))
-        # Gather at most _KNN_GATHER samples at a time, so memory stays O(n).
-        rows = max(1, _KNN_GATHER // k)
+        # Gather at most _GATHER samples at a time, so memory stays O(n).
+        rows = max(1, _GATHER // k)
         for lo in range(0, Q, rows):
             sel = ds[start[lo : lo + rows, None] + np.arange(k)]
             scores[lo : lo + rows] = -sel.mean(axis=1)
             stderr[lo : lo + rows] = sel.std(axis=1, ddof=1) / math.sqrt(k)
         return scores, stderr, n_eff
-    scores = np.empty((Q, m))
-    stderr = np.empty((Q, m))
-    for q in range(Q):
-        d2 = np.sum((X - points[q]) ** 2, axis=1)
-        idx = np.argpartition(d2, k - 1)[:k]
-        sel = delta[idx]
-        scores[q] = -sel.mean(axis=0)
-        stderr[q] = sel.std(axis=0, ddof=1) / math.sqrt(k)
+    rows = max(1, _GATHER // n)
+    for lo in range(0, Q, rows):
+        d2 = _sq_distances(X, points[lo : lo + rows])
+        sel = delta[np.argpartition(d2, k - 1, axis=1)[:, :k]]
+        scores[lo : lo + rows] = -sel.mean(axis=1)
+        stderr[lo : lo + rows] = sel.std(axis=1, ddof=1) / math.sqrt(k)
     return scores, stderr, n_eff
 
 

@@ -13,7 +13,9 @@ the step into the running sums from which malliavin.skorokhod_batch
 reads the anticipating integrals, so it is the only pass over the path,
 and keeps both only at the requested nodes. On a model flagged
 ``affine_coefficients`` Z stays at its zero start, and on one flagged
-``state_independent_diffusion`` the dsigma terms are skipped.
+``state_independent_diffusion`` the dsigma terms are skipped. With both
+flags set Y is deterministic, the same on every path, so the loop carries
+one row of (Y, Z) and inverts it once per step.
 
 Everything is vectorized over a leading batch-of-paths axis, and a single
 path is a row slice of a batch (TrajectoryBatch.take). Noise is
@@ -161,9 +163,13 @@ def simulate_variation_batch(
 
     On a model flagged ``state_independent_diffusion`` the dsigma terms of
     the Y and Z updates are skipped, and on one flagged
-    ``affine_coefficients`` Z stays at its zero start. Paths that leave the
-    finite domain or whose Y turns singular are flagged invalid, never
-    raised.
+    ``affine_coefficients`` Z stays at its zero start. With both flags set
+    Y, Yinv and Z are shared by every path: they are carried on a batch axis
+    of length 1, db is evaluated on the first path's state only, and
+    Yinv_n, V_n and S_n are formed once per step, while P and Gamma still
+    accumulate per path by broadcasting. The kept node arrays have B rows
+    either way. Paths that leave the finite domain or whose Y turns singular
+    are flagged invalid, never raised.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 3 or inc.shape[1] != grid.steps or inc.shape[2] != model.d:
@@ -179,11 +185,14 @@ def simulate_variation_batch(
         raise ValueError(f"nodes must lie in [0, {N}], got {nodes}")
     slot = dict(zip(keep.tolist(), range(len(keep))))
     general_sigma = not model.state_independent_diffusion
+    # On a linear model Y solves a deterministic ODE, so one row of (Y, Z)
+    # serves every path; the sums broadcast it against the per-path dW.
+    rows = 1 if model.affine_coefficients and model.state_independent_diffusion else B
 
     kept = {}
     x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (B, m)))
-    y = np.array(np.broadcast_to(np.eye(m), (B, m, m)))
-    z = np.zeros((B, m, m, m))
+    y = np.array(np.broadcast_to(np.eye(m), (rows, m, m)))
+    z = np.zeros((rows, m, m, m))
     alive = np.ones(B, dtype=bool)
     sums = _zero_sums(model, B)
 
@@ -207,12 +216,12 @@ def simulate_variation_batch(
             dW = inc[:, n]
             b = model.b(t, x)
             sig = model.sigma(t, x)
-            db = model.db(t, x)
+            db = model.db(t, x[:rows])
             dsig = dsY = None
             if general_sigma:
                 dsig = model.dsigma(t, x)
                 dsY = np.einsum("blij,bjk->blik", dsig, y)
-            _fold_step(sums, model, dt, yinv, sig, z, dsY, dW)
+            _fold_step(sums, model, dt, yinv, sig[:rows], z, dsY, dW)
 
             x_next = _state_step(x, b, sig, dW, dt)
             y_next = y + np.einsum("bij,bjk->bik", db, y) * dt

@@ -14,6 +14,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from pathscore import estimator
 from pathscore.estimator import (
     MIN_EFFECTIVE_SAMPLES,
     AnalyticScoreProvider,
@@ -24,6 +25,7 @@ from pathscore.estimator import (
     _expm,
     _knn_tables,
     _multilinear,
+    _nw_tables,
     analytic_score_linear,
     chunk_size,
     estimate_score,
@@ -76,8 +78,6 @@ class TestKernelRegression:
     def test_matches_hand_computation(self):
         X = np.array([-1.0, -0.3, 0.2, 0.9, 1.4, -1.7, 0.6, 2.1])
         delta = np.array([0.5, -0.2, 0.1, 0.8, -0.4, 0.3, -0.6, 0.9])
-        from pathscore.estimator import _nw_tables
-
         scores, stderr, n_eff = _nw_tables(
             X[:, None], delta[:, None], np.array([[0.1]]), np.array([2.0])
         )
@@ -89,8 +89,6 @@ class TestKernelRegression:
     def test_distant_point_is_flagged_nan(self):
         X = np.zeros((200, 1)) + np.linspace(-1, 1, 200)[:, None]
         delta = np.ones((200, 1))
-        from pathscore.estimator import _nw_tables
-
         scores, stderr, n_eff = _nw_tables(X, delta, np.array([[50.0]]), np.array([0.1]))
         assert n_eff[0] < MIN_EFFECTIVE_SAMPLES
         assert np.isnan(scores[0, 0]) and np.isnan(stderr[0, 0])
@@ -106,11 +104,77 @@ class TestKernelRegression:
             stderr.append(delta[idx].std(axis=0, ddof=1) / math.sqrt(k))
         return np.array(masks), np.array(scores), np.array(stderr)
 
-    @pytest.mark.parametrize("m, k", [(1, 10), (1, 149), (1, 150), (2, 10)])
-    def test_knn_matches_brute_force(self, m, k):
-        # Continuous data, so no two distances tie and the neighbour set is unique.
+    @staticmethod
+    def _brute_nw(X, delta, points, h):
+        """Scores, SEs and n_eff from one pass over the paths per point."""
+        Q, m = points.shape[0], X.shape[1]
+        scores = np.full((Q, m), np.nan)
+        stderr = np.full((Q, m), np.nan)
+        n_eff = np.zeros(Q)
+        for q in range(Q):
+            z = (X - points[q]) / h
+            w = np.exp(-0.5 * np.sum(z * z, axis=1))
+            den = w.sum()
+            wsq = float(w @ w)
+            if den > 0 and wsq > 0:
+                n_eff[q] = den * den / wsq
+            if n_eff[q] < MIN_EFFECTIVE_SAMPLES:
+                continue
+            ratio = (w[:, None] * delta).sum(axis=0) / den
+            resid = w[:, None] * (delta - ratio)
+            scores[q] = -ratio
+            stderr[q] = np.sqrt(np.sum(resid * resid, axis=0)) / den
+        return scores, stderr, n_eff
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_nw_matches_brute_force(self, m, monkeypatch):
+        # Four points per block, so the 16 points span four blocks; the last
+        # point is far from every path, with zero kernel mass.
+        rng = np.random.default_rng(22)
+        n = 300
+        X = rng.standard_normal((n, m))
+        delta = 3.0 + rng.standard_normal((n, m))
+        h = silverman_bandwidth(X)
+        inner = np.linspace(-2.5, 2.5, 13)[:, None] * np.ones(m)
+        points = np.vstack([inner, X.min(axis=0) - 0.3, X.max(axis=0) + 2.0, np.full(m, 50.0)])
+        monkeypatch.setattr(estimator, "_GATHER", 4 * n)
+        s_ref, se_ref, ne_ref = self._brute_nw(X, delta, points, h)
+
+        scores, stderr, n_eff = _nw_tables(X, delta, points, h)
+        flagged = n_eff < MIN_EFFECTIVE_SAMPLES
+        npt.assert_array_equal(flagged, ne_ref < MIN_EFFECTIVE_SAMPLES)
+        assert flagged[-1] and n_eff[-1] == 0.0 and not flagged[:-1].all()
+        npt.assert_allclose(scores, s_ref, rtol=1e-12, atol=0)
+        npt.assert_allclose(stderr, se_ref, rtol=1e-12, atol=0)
+        npt.assert_allclose(n_eff, ne_ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_nw_memory_does_not_grow_with_the_point_count(self, m):
+        # One (points, paths) array would be 2000 * 4096 * 8 bytes = 62.5 MiB;
+        # the blocks must stay within a few gather-sized arrays.
+        rng = np.random.default_rng(23)
+        n, Q = 4096, 2000
+        X = rng.standard_normal((n, m))
+        delta = rng.standard_normal((n, m))
+        points = rng.standard_normal((Q, m))
+        h = silverman_bandwidth(X)
+        outputs = (2 * Q * m + Q) * 8
+        tracemalloc.start()
+        try:
+            _nw_tables(X, delta, points, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * estimator._GATHER * 8 + outputs, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("m, k", [(1, 10), (1, 149), (1, 150), (2, 10), (3, 10)])
+    def test_knn_matches_brute_force(self, m, k, monkeypatch):
+        # Continuous data, so no two distances tie and the neighbour set is
+        # unique. At most 450 (point, path) pairs per block, so the 15 points
+        # span five blocks at m >= 2 and at k = 149, 150.
         rng = np.random.default_rng(21)
         n = 150
+        monkeypatch.setattr(estimator, "_GATHER", 3 * n)
         X = rng.standard_normal((n, m))
         delta = 3.0 + rng.standard_normal((n, m))
         inner = np.linspace(-1.5, 1.5, 13)[:, None] * np.ones(m)

@@ -8,6 +8,7 @@ with state-dependent coefficients.
 
 import io
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -157,6 +158,30 @@ class TestVariationProcesses:
         x0 = np.zeros(model.m)
         batch = simulate_variation_batch(model, g, inc, x0=x0)
         assert np.all(batch.Z == 0.0)
+
+    @pytest.mark.parametrize(
+        "name,x0", [("ornstein_uhlenbeck", [0.4]), ("linear_multidim", [0.3, -0.2])]
+    )
+    def test_linear_models_share_one_first_variation(self, name, x0):
+        # With both flags set Y is deterministic, so db is evaluated on one row
+        # and that row of (Y, Yinv) is kept for every path; clearing either
+        # flag puts every path back on its own row.
+        model = make_model(name)
+        g = TimeGrid(horizon=1.0, steps=16)
+        inc = sample_brownian_block(g, model.d, seed=5, first_path=0, n_paths=7)
+        for cleared in ({}, {"affine_coefficients": False}, {"state_independent_diffusion": False}):
+            rows = []
+
+            def db(t, x, fn=model.db):
+                rows.append(x.shape[0])
+                return fn(t, x)
+
+            batch = simulate_variation_batch(replace(model, db=db, **cleared), g, inc, x0)
+            assert rows == [1 if not cleared else 7] * g.steps, cleared
+            for field in ("Y", "Yinv"):
+                arr = getattr(batch, field)
+                assert arr.shape == (7, g.steps + 1, model.m, model.m)
+                assert np.array_equal(arr, np.broadcast_to(arr[:1], arr.shape)), field
 
     @pytest.mark.parametrize(
         "name,x0",
