@@ -1,15 +1,14 @@
 """Run perfbench on a parent commit and on this checkout in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent COMMIT --out BENCH_NN.json \
-        --what "..." --claim "..." [--pairs 10] [--seed 11] [--seconds 30] \
-        [--workloads W ...]
+        --what "..." --claim "..."
 
 The parent side is the committed tree of COMMIT, exported with ``git
 archive`` into a temporary directory; the change side is the checkout this
-script lives in, as it stands. For each workload (default: every workload
-in BENCHMARK.json, in its order) the script runs ``--pairs`` untraced pairs
-of ``perfbench/run.py``, the parent first on even pairs and the change first
-on odd ones, then one traced pair. Every run is a separate process started
+script lives in, as it stands. For every workload in BENCHMARK.json, in its
+order, the script runs PAIRS untraced pairs of ``perfbench/run.py`` (seed
+SEED, SECONDS each), the parent first on even pairs and the change first on
+odd ones, then one traced pair. Every run is a separate process started
 in its side's directory. The result file holds the command, the host, the
 claim, the per-side medians of the untraced end-to-end metrics and every
 run's result line; a short table of medians and pairs won goes to stderr.
@@ -33,6 +32,9 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+PAIRS = 10
+SEED = 11
+SECONDS = 30
 
 
 def export_commit(commit: str, dest: str) -> str:
@@ -47,10 +49,10 @@ def export_commit(commit: str, dest: str) -> str:
     return full
 
 
-def run_once(cwd: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(cwd: str, workload: str, trace: int) -> dict:
     """One perfbench run; its last stdout line is the JSON result."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    argv += ["--seconds", str(seconds), "--trace", str(trace)]
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED)]
+    argv += ["--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -92,15 +94,11 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="result file to write")
     ap.add_argument("--what", required=True, help="what the change is, for the result file")
     ap.add_argument("--claim", required=True, help="the claimed gain, for the result file")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--workloads", nargs="*", default=None)
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     metrics = [m["name"] for m in bench["end_to_end"]]
 
     import numpy
@@ -109,7 +107,7 @@ def main(argv=None) -> int:
     host = (
         f"{os.cpu_count()} cores, numpy {numpy.__version__}, scipy {scipy.__version__}, "
         f"Python {platform.python_version()}; parent and change alternate, first side "
-        f"swapped each pair; {args.pairs} untraced pairs and one traced pair per workload"
+        f"swapped each pair; {PAIRS} untraced pairs and one traced pair per workload"
     )
     scratch = tempfile.mkdtemp(prefix="bench_pairs_")
     try:
@@ -118,10 +116,10 @@ def main(argv=None) -> int:
         runs, summary = [], {}
         for w in workloads:
             mine = []
-            for i in range(args.pairs + 1):
-                trace = int(i == args.pairs)
+            for i in range(PAIRS + 1):
+                trace = int(i == PAIRS)
                 for s in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    result = run_once(cwd[s], w, args.seed, args.seconds, trace)
+                    result = run_once(cwd[s], w, trace)
                     mine.append(dict(side=s, workload=w, trace=trace, result=result))
                     print(f"{w} pair {i} {s} trace={trace} done", file=sys.stderr)
             runs += mine
@@ -136,8 +134,8 @@ def main(argv=None) -> int:
     out = {
         "what": args.what,
         "parent_commit": parent,
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-        f"--seconds {args.seconds:g} --trace 0|1",
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
+        f"--seconds {SECONDS} --trace 0|1",
         "host": host,
         "claim": args.claim,
         "median_untraced": summary,

@@ -41,7 +41,9 @@ class SdeModel:
     d2sigma: Callable
     state_independent_diffusion: bool = False
     # b and sigma are affine in x (d2b = d2sigma = 0), so the second
-    # variation Z stays 0 and its terms are skipped.
+    # variation Z stays 0 and its terms are skipped. With
+    # state_independent_diffusion also set, db is evaluated once per step at
+    # the origin and shared by every path, so db must not depend on x.
     affine_coefficients: bool = False
 
 

@@ -165,7 +165,7 @@ def simulate_variation_batch(
     the Y and Z updates are skipped, and on one flagged
     ``affine_coefficients`` Z stays at its zero start. With both flags set
     Y, Yinv and Z are shared by every path: they are carried on a batch axis
-    of length 1, db is evaluated on the first path's state only, and
+    of length 1, db is evaluated once at the origin (it cannot depend on x), and
     Yinv_n, V_n and S_n are formed once per step, while P and Gamma still
     accumulate per path by broadcasting. The kept node arrays have B rows
     either way. Paths that leave the finite domain or whose Y turns singular
@@ -186,8 +186,12 @@ def simulate_variation_batch(
     slot = dict(zip(keep.tolist(), range(len(keep))))
     general_sigma = not model.state_independent_diffusion
     # On a linear model Y solves a deterministic ODE, so one row of (Y, Z)
-    # serves every path; the sums broadcast it against the per-path dW.
-    rows = 1 if model.affine_coefficients and model.state_independent_diffusion else B
+    # serves every path; the sums broadcast it against the per-path dW. Its db
+    # does not depend on x, so it is read at the origin, which stays finite
+    # when some path blows up.
+    shared = model.affine_coefficients and model.state_independent_diffusion
+    rows = 1 if shared else B
+    origin = np.zeros((1, m))
 
     kept = {}
     x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (B, m)))
@@ -216,7 +220,7 @@ def simulate_variation_batch(
             dW = inc[:, n]
             b = model.b(t, x)
             sig = model.sigma(t, x)
-            db = model.db(t, x[:rows])
+            db = model.db(t, origin if shared else x)
             dsig = dsY = None
             if general_sigma:
                 dsig = model.dsigma(t, x)

@@ -257,6 +257,23 @@ class TestVariationProcesses:
         assert np.sum(~batch.valid) == 1
         assert np.all(np.isfinite(batch.X[1]))
 
+    def test_shared_first_variation_ignores_a_blown_up_path(self):
+        # A linear model whose db carries x through as 0*x: path 0 overflows,
+        # yet the shared Y is read at a finite state, so only path 0 is
+        # flagged, exactly as on the per-path route with a flag cleared.
+        model = make_model("ornstein_uhlenbeck", {"theta": 600.0})
+        model = replace(model, db=lambda t, x: -600.0 + 0.0 * x[..., None])
+        g = TimeGrid(horizon=1.0, steps=256)
+        inc = sample_brownian_block(g, 1, seed=1, first_path=0, n_paths=2)
+        x0 = np.array([[1e308], [0.0]])
+        shared = simulate_variation_batch(model, g, inc, x0=x0)
+        per_path = simulate_variation_batch(
+            replace(model, affine_coefficients=False), g, inc, x0=x0
+        )
+        assert shared.valid.tolist() == per_path.valid.tolist() == [False, True]
+        for field in ("X", "Y", "Yinv", "Z"):
+            npt.assert_array_equal(getattr(shared, field)[1], getattr(per_path, field)[1])
+
     def test_bad_increment_shape_rejected(self):
         model = make_model("ornstein_uhlenbeck")
         g = TimeGrid(horizon=1.0, steps=16)
