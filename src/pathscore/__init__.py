@@ -9,7 +9,6 @@ oracles for validation and a reverse-time sampler driven by the result.
 
 from .config import ConfigError, load_config
 from .estimator import (
-    AnalyticScoreProvider,
     TableScoreProvider,
     estimate_score,
     harvest_paths,
@@ -23,7 +22,6 @@ from .paths import TimeGrid, TrajectoryBatch, sample_brownian_block, simulate_va
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticScoreProvider",
     "ConfigError",
     "SdeModel",
     "TableScoreProvider",

@@ -30,7 +30,6 @@ import yaml
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .estimator import (
-    AnalyticScoreProvider,
     ScoreProviderGap,
     TableScoreProvider,
     analytic_score_linear,
@@ -232,7 +231,12 @@ def cmd_duality(cfg: RunConfig, out_dir: str, workers: int) -> int:
 def cmd_reverse(cfg: RunConfig, out_dir: str, workers: int) -> int:
     model, grid, x0 = _build(cfg)
     if cfg.reverse_provider == "analytic":
-        provider = AnalyticScoreProvider(model, x0)
+        # Fails fast, before simulating, on a model with no closed form.
+        analytic_score_linear(model, grid.horizon, x0, x0)
+
+        def score(t, x):
+            return analytic_score_linear(model, t, x0, x)
+
     else:
         tables = {}
         pat = re.compile(r"score_n(\d+)\.csv$")
@@ -248,12 +252,10 @@ def cmd_reverse(cfg: RunConfig, out_dir: str, workers: int) -> int:
             raise ConfigError(
                 f"reverse.tables_dir: no score_n*.csv tables in {cfg.reverse_tables_dir}"
             )
-        provider = TableScoreProvider(tables, grid)
+        score = TableScoreProvider(tables, grid).score
         _timing("tables", t0)
     t0 = time.perf_counter()
-    samples = reverse_time_sample(
-        model, provider, grid, cfg.reverse_samples, cfg.seed, x0
-    )
+    samples = reverse_time_sample(model, score, grid, cfg.reverse_samples, cfg.seed, x0)
     _timing("reverse", t0)
     with open(os.path.join(out_dir, "reverse_samples.csv"), "w") as fh:
         cols = ",".join(f"x_{j + 1}" for j in range(model.m))

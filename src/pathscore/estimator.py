@@ -403,42 +403,40 @@ def write_score_csv(fh, table: ScoreTable, j: int) -> None:
 
 
 def read_score_csv(fh) -> ScoreTable:
-    """Inverse of write_score_csv (used by the table-backed score provider)."""
-    header = fh.readline().strip().split(",")
-    try:
-        m = header.index("k") - 1
-    except ValueError as e:
-        raise ScoreProviderGap(f"malformed score table header: {header}") from e
+    """Inverse of write_score_csv (used by the table-backed score provider).
+
+    Only write_score_csv's layout is read: one row per (point, direction),
+    each point's rows in order k = 1..m. Anything else is refused as malformed.
+    """
+    header = fh.readline().strip()
+    m = header.count(",") - 5
+    if m < 1 or header != score_table_header(m):
+        raise ScoreProviderGap(f"malformed score table header: {header!r}")
     rows = [line.strip().split(",") for line in fh if line.strip()]
     if not rows:
         raise ScoreProviderGap("empty score table")
-    t = float(rows[0][0])
-    pts: dict[tuple, int] = {}
-    data: dict[tuple, dict[int, tuple]] = {}
-    for r in rows:
-        y = tuple(float(v) for v in r[1 : 1 + m])
-        k = int(r[1 + m])
-        pts.setdefault(y, len(pts))
-        data.setdefault(y, {})[k] = (float(r[2 + m]), float(r[3 + m]), float(r[4 + m]))
-    Q = len(pts)
-    points = np.array([list(y) for y in pts])
-    scores = np.full((Q, m), np.nan)
-    stderr = np.full((Q, m), np.nan)
-    n_eff = np.zeros(Q)
-    for y, q in pts.items():
-        for k, (s, se, ne) in data[y].items():
-            scores[q, k - 1] = s
-            stderr[q, k - 1] = se
-            n_eff[q] = ne
+    try:
+        data = np.array([[float(v) for v in r] for r in rows])
+    except ValueError as e:  # a field that is not a number, or rows of unequal length
+        raise ScoreProviderGap(f"malformed score table: {e}") from e
+    Q = len(rows) // m
+    if data.shape != (Q * m, m + 6):
+        raise ScoreProviderGap(f"malformed score table: {data.shape} fields for m={m}")
+    # (Q, m, columns): point q's row for direction k is data[q, k - 1].
+    data = data.reshape(Q, m, m + 6)
+    t, y, k = data[..., 0], data[..., 1 : 1 + m], data[..., 1 + m]
+    if np.any(t != t[0, 0]) or np.any(y != y[:, :1]) or np.any(k != np.arange(1, m + 1)):
+        raise ScoreProviderGap("malformed score table: not one t, or a point's rows not k = 1..m")
+    n_eff = data[:, 0, 4 + m]
     return ScoreTable(
-        t=np.array([t]),
-        points=points,
-        scores=scores[None],
-        stderr=stderr[None],
+        t=data[:1, 0, 0],
+        points=data[:, 0, 1 : 1 + m],
+        scores=data[None, :, :, 2 + m],
+        stderr=data[None, :, :, 3 + m],
         n_eff=n_eff[None],
         flagged=n_eff[None] < MIN_EFFECTIVE_SAMPLES,
         bandwidth=None,
-        excluded=np.array([int(rows[0][-1])]),
+        excluded=data[:1, 0, 5 + m].astype(int),
     )
 
 
@@ -496,19 +494,6 @@ def analytic_score_linear(model: SdeModel, t: float, x0, y) -> np.ndarray:
     raise ValueError(f"no closed-form score for model '{model.name}'")
 
 
-class AnalyticScoreProvider:
-    """Score lookups backed by the closed-form Gaussian marginals."""
-
-    def __init__(self, model: SdeModel, x0):
-        self.model = model
-        self.x0 = np.asarray(x0, dtype=float)
-        # fail fast on unsupported models
-        analytic_score_linear(model, 1.0, self.x0, np.zeros(model.m))
-
-    def score(self, t: float, x: np.ndarray) -> np.ndarray:
-        return analytic_score_linear(self.model, t, self.x0, x)
-
-
 def _multilinear(axes, values, x):
     """Multilinear interpolation of values (n_1, ..., n_m, k) on the grid axes at x (Q, m).
 
@@ -541,60 +526,55 @@ def _multilinear(axes, values, x):
 class TableScoreProvider:
     """Score lookups interpolated from one-time ScoreTables, keyed by node.
 
-    Tables must cover every node the reverse loop visits; a missing node or
-    a query outside a table's point hull aborts with the node named.
+    Each table must hold the time of its node on the grid and a full
+    regular grid of points; ``score`` interpolates it with _multilinear.
+    A missing node, a query outside a table's point hull or of another
+    dimension, or a flagged point in the queried cells aborts with the node
+    named.
     """
 
     def __init__(self, tables: dict[int, ScoreTable], grid: TimeGrid):
+        self.grid = grid
+        # node -> (sorted distinct values per axis, scores on that grid)
+        self.tables: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
         for node, table in tables.items():
             if table.t.shape != (1,):
                 raise ValueError(f"score table for node {node} holds {table.t.size} times, not one")
-        self.grid = grid
-        self.tables = dict(tables)
-        self._interp: dict[int, object] = {}
-
-    def _build(self, node: int):
-        table = self.tables[node]
-        m = table.points.shape[1]
-        scores = table.scores[0]
-        if m == 1:
-            x = table.points[:, 0]
-            order = np.argsort(x)
-            self._interp[node] = ("1d", x[order], scores[order])
-        else:
-            # Sorted distinct values per axis; a set, since np.unique would
-            # import numpy.ma into the request.
-            axes = [np.array(sorted(set(table.points[:, j].tolist()))) for j in range(m)]
-            shape = tuple(len(a) for a in axes)
-            if int(np.prod(shape)) != table.points.shape[0]:
+            t = float(table.t[0])
+            try:
+                on_grid = grid.node_index(t) == node
+            except ValueError:
+                on_grid = False
+            if not on_grid:
                 raise ScoreProviderGap(
-                    f"score table at node {node} is not a full regular grid"
+                    f"score table for node {node} holds t={t}, not the node's time {node * grid.dt}"
                 )
-            order = np.lexsort(tuple(table.points[:, j] for j in reversed(range(m))))
-            grids = scores[order].reshape(shape + (m,))
-            self._interp[node] = ("nd", axes, grids)
+            points = table.points
+            m = points.shape[1]
+            # A set, since np.unique would import numpy.ma into the request.
+            axes = [np.array(sorted(set(points[:, j].tolist()))) for j in range(m)]
+            shape = tuple(len(a) for a in axes)
+            order = np.lexsort(points.T[::-1])  # row-major: the first axis varies slowest
+            full = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+            if not np.array_equal(points[order], full):
+                raise ScoreProviderGap(f"score table at node {node} is not a full regular grid")
+            self.tables[node] = (axes, table.scores[0][order].reshape(shape + (m,)))
 
     def score(self, t: float, x: np.ndarray) -> np.ndarray:
         node = self.grid.node_index(t)
         if node not in self.tables:
             raise ScoreProviderGap(f"no score table for node {node} (t={t})")
-        if node not in self._interp:
-            self._build(node)
-        kind, *rest = self._interp[node]
-        if kind == "1d":
-            xs, scores = rest
-            q = x[:, 0]
-            if np.any(q < xs[0]) or np.any(q > xs[-1]):
-                raise ScoreProviderGap(
-                    f"reverse state left the score table range [{xs[0]}, {xs[-1]}] at node {node}"
-                )
-            out = np.empty((x.shape[0], 1))
-            out[:, 0] = np.interp(q, xs, scores[:, 0])
-        else:
-            axes, grids = rest
-            if not all(np.all((g[0] <= x[:, j]) & (x[:, j] <= g[-1])) for j, g in enumerate(axes)):
-                raise ScoreProviderGap(f"reverse state left the score table hull at node {node}")
-            out = _multilinear(axes, grids, x)
+        axes, values = self.tables[node]
+        if x.shape[1] != len(axes):
+            raise ScoreProviderGap(
+                f"score table at node {node} has dimension {len(axes)}, the state {x.shape[1]}"
+            )
+        if not all(np.all((g[0] <= x[:, j]) & (x[:, j] <= g[-1])) for j, g in enumerate(axes)):
+            ranges = [(float(g[0]), float(g[-1])) for g in axes]
+            raise ScoreProviderGap(
+                f"reverse state left the score table hull at node {node} (axis ranges {ranges})"
+            )
+        out = _multilinear(axes, values, x)
         if not np.all(np.isfinite(out)):
             raise ScoreProviderGap(f"score table at node {node} has gaps (flagged points) in the queried region")
         return out
@@ -602,7 +582,7 @@ class TableScoreProvider:
 
 def reverse_time_sample(
     model: SdeModel,
-    provider,
+    score,
     grid: TimeGrid,
     n_samples: int,
     seed: int,
@@ -610,6 +590,8 @@ def reverse_time_sample(
 ) -> np.ndarray:
     """Integrate the score-driven reverse-time dynamics from T down to 0.
 
+    ``score(t, x)`` maps a grid time and states (B, m) to scores (B, m): a
+    closure over analytic_score_linear, or TableScoreProvider(...).score.
     Terminal states come from a fresh forward Euler run (noise streams offset
     from the score-estimation paths). Stepping toward zero:
 
@@ -628,7 +610,7 @@ def reverse_time_sample(
         bwd = sample_brownian_block(grid, model.d, seed, REVERSE_BACKWARD_OFFSET + lo, hi - lo)
         for k in range(grid.steps, 0, -1):
             t = k * dt
-            s = provider.score(t, x)
+            s = score(t, x)
             sig = model.sigma(t, x)
             drift = model.b(t, x) - divergence_sigma_sigma_T(model, t, x, sig) + np.einsum(
                 "bil,bl->bi", sig, s

@@ -15,7 +15,7 @@ import pytest
 
 from pathscore.cli import main as cli_main
 from pathscore.estimator import (
-    AnalyticScoreProvider,
+    analytic_score_linear,
     estimate_score,
     reverse_time_sample,
 )
@@ -283,8 +283,10 @@ def test_a6_nonlinear_end_to_end_score(announce):
 
 def test_a8_reverse_time_sampler(announce):
     model = make_model("ornstein_uhlenbeck")
-    provider = AnalyticScoreProvider(model, [0.0])
-    samples = reverse_time_sample(model, provider, GRID_256, 10_000, seed=SEED, x0=[0.0])
+    def score(t, x):
+        return analytic_score_linear(model, t, [0.0], x)
+
+    samples = reverse_time_sample(model, score, GRID_256, 10_000, seed=SEED, x0=[0.0])
     mean = float(samples.mean())
     std = float(samples.std(ddof=1))
     se = std / math.sqrt(samples.shape[0])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import pathscore
-from pathscore import oracles
+from pathscore import cli, oracles
 from pathscore.cli import BREAKDOWN_HEADER, main
 
 OU_SMALL = """
@@ -416,17 +416,65 @@ class TestErrorPaths:
             "no score_n",
         )
 
-    def test_analytic_reverse_needs_linear_model(self, tmp_path, capsys):
+    def test_analytic_reverse_needs_linear_model(self, tmp_path, capsys, monkeypatch):
         cfg = _write(
             tmp_path,
             "model:\n  name: bounded_nonlinear_drift\ngrid:\n  horizon: 1.0\n  steps: 8\n"
-            "sampling:\n  x0: [0.0]\n  n_paths: 100\n  seed: 1\n",
+            "sampling:\n  x0: [0.0]\n  n_paths: 100\n  seed: 1\n"
+            "reverse:\n  provider: analytic\n  n_samples: 64\n",
         )
+        # Refused before any reverse path is simulated.
+        ran = []
+        monkeypatch.setattr(cli, "reverse_time_sample", lambda *args: ran.append(args))
         self._expect_config_error(
             ["reverse", "--config", cfg, "--out", str(tmp_path / "o")],
             capsys,
             "no closed-form",
         )
+        assert ran == []
+
+    def _tables(self, tmp_path, capsys, model, x0, steps, y):
+        """Score tables at every node of a horizon-1 grid, via the score command."""
+        t_eval = [k / steps for k in range(1, steps + 1)]
+        cfg = _write(
+            tmp_path,
+            f"model:\n  name: {model}\ngrid:\n  horizon: 1.0\n  steps: {steps}\n"
+            f"sampling:\n  x0: {x0}\n  n_paths: 200\n  seed: 2\n"
+            f"score:\n  t_eval: {t_eval}\n  y_min: {[-y] * len(x0)}\n  y_max: {[y] * len(x0)}\n"
+            f"  y_count: {[9] * len(x0)}\n  knn: 20\n",
+            name="tables.yaml",
+        )
+        out = tmp_path / "tables"
+        assert _run(["score", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        return out
+
+    def _reverse_on(self, tmp_path, tables, model, x0, horizon):
+        return _write(
+            tmp_path,
+            f"model:\n  name: {model}\ngrid:\n  horizon: {horizon}\n  steps: 8\n"
+            f"sampling:\n  x0: {x0}\n  n_paths: 100\n  seed: 3\n"
+            f"reverse:\n  provider: tables\n  n_samples: 64\n  tables_dir: {tables}\n",
+            name="rev.yaml",
+        )
+
+    def test_tables_from_another_grid_refused(self, tmp_path, capsys):
+        # Node n of the tables is t = n/8; on a horizon-2 grid of 8 steps it is t = n/4.
+        tables = self._tables(tmp_path, capsys, "ornstein_uhlenbeck", [0.0], 8, 6.0)
+        cfg = self._reverse_on(tmp_path, tables, "ornstein_uhlenbeck", [0.0], 2.0)
+        self._expect_config_error(
+            ["reverse", "--config", cfg, "--out", str(tmp_path / "o")],
+            capsys,
+            "score table for node 1 holds t=0.125, not the node's time 0.25",
+        )
+
+    def test_tables_of_another_dimension_refused(self, tmp_path, capsys):
+        tables = self._tables(tmp_path, capsys, "linear_multidim", [0.3, -0.2], 8, 5.0)
+        cfg = self._reverse_on(tmp_path, tables, "ornstein_uhlenbeck", [0.0], 1.0)
+        # Refused at the first reverse step, after the tables' timing line.
+        assert _run(["reverse", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: score table at node 8 has dimension 2, the state 1"
 
 
 # The requests of this script run after `import pathscore.cli` in a fresh

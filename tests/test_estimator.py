@@ -17,7 +17,6 @@ import pytest
 from pathscore import estimator
 from pathscore.estimator import (
     MIN_EFFECTIVE_SAMPLES,
-    AnalyticScoreProvider,
     PathHarvest,
     ScoreProviderGap,
     ScoreTable,
@@ -42,9 +41,12 @@ from pathscore.paths import TimeGrid
 OU_SCORE_AT_HALF = -1.1565176427496657  # -(0.5 - 0) / ((1 - e^{-2}) / 2)
 
 
-class _ZeroScore:
-    def score(self, t, x):
-        return np.zeros_like(x)
+def _zero_score(t, x):
+    return np.zeros_like(x)
+
+
+def _analytic_score(model, x0):
+    return lambda t, x: analytic_score_linear(model, t, x0, x)
 
 
 class TestBandwidth:
@@ -381,6 +383,31 @@ class TestScoreCsv:
         with pytest.raises(ScoreProviderGap, match="empty"):
             read_score_csv(io.StringIO(score_table_header(1) + "\n"))
 
+    def _written(self, m):
+        buf = io.StringIO()
+        write_score_csv(buf, self._table(m), 0)
+        return buf.getvalue().splitlines(keepends=True)
+
+    def test_rows_out_of_write_order_refused(self):
+        lines = self._written(2)
+        lines[1], lines[2] = lines[2], lines[1]  # the first point's k = 2 row before its k = 1
+        with pytest.raises(ScoreProviderGap, match="malformed"):
+            read_score_csv(io.StringIO("".join(lines)))
+
+    def test_rows_of_two_times_refused(self):
+        lines = self._written(1)
+        lines[2] = lines[2].replace("0.25,", "0.5,", 1)
+        with pytest.raises(ScoreProviderGap, match="malformed"):
+            read_score_csv(io.StringIO("".join(lines)))
+
+    @pytest.mark.parametrize("drop", [[2], [2, 5]])
+    def test_missing_k_row_refused(self, drop):
+        # One row short leaves an odd count; two short keep it even, but
+        # the rows no longer pair up by point.
+        lines = [line for i, line in enumerate(self._written(2)) if i not in drop]
+        with pytest.raises(ScoreProviderGap, match="malformed"):
+            read_score_csv(io.StringIO("".join(lines)))
+
 
 class TestAnalyticScore:
     def test_frozen_reference_point(self):
@@ -438,13 +465,6 @@ class TestAnalyticScore:
             analytic_score_linear(ou, 0.0, [0.0], np.array([0.5]))
         with pytest.raises(ValueError, match="no closed-form"):
             analytic_score_linear(make_model("state_dependent_tanh"), 1.0, [0.0], np.array([0.5]))
-
-    def test_provider_fails_fast_on_nonlinear_models(self):
-        with pytest.raises(ValueError, match="no closed-form"):
-            AnalyticScoreProvider(make_model("bounded_nonlinear_drift"), [0.0])
-        p = AnalyticScoreProvider(make_model("ornstein_uhlenbeck"), [0.0])
-        out = p.score(1.0, np.array([[0.5]]))
-        npt.assert_allclose(out, [[OU_SCORE_AT_HALF]], rtol=1e-15)
 
 
 class TestTableProvider:
@@ -519,11 +539,31 @@ class TestTableProvider:
             provider.score(1.0, np.array([[2.0, 2.0]]))
 
     def test_partial_grid_refused(self):
-        provider = TableScoreProvider({4: self._table2d(drop_point=True)}, self._grid())
         with pytest.raises(ScoreProviderGap, match="regular grid"):
+            TableScoreProvider({4: self._table2d(drop_point=True)}, self._grid())
+        # As many points as the full grid, but one of them twice.
+        table = self._table2d()
+        table.points[3] = table.points[0]
+        with pytest.raises(ScoreProviderGap, match="regular grid"):
+            TableScoreProvider({4: table}, self._grid())
+
+    def test_off_grid_table_refused(self):
+        # A table scored at t=0.5 (node 4 of a 0.125 grid) read back on the
+        # 0.25 grid, where node 4 is t=1; and a time off that grid.
+        for t in (0.5, 0.625):
+            table = replace(self._table1d([0, 0, 0]), t=np.array([t]))
+            with pytest.raises(ScoreProviderGap, match="node 4 holds t="):
+                TableScoreProvider({4: table}, self._grid())
+
+    def test_table_of_another_dimension_refused(self):
+        provider = TableScoreProvider({4: self._table2d()}, self._grid())
+        with pytest.raises(ScoreProviderGap, match="node 4 has dimension 2, the state 1"):
+            provider.score(1.0, np.array([[0.5]]))
+        provider = TableScoreProvider({4: self._table1d([0, 0, 0])}, self._grid())
+        with pytest.raises(ScoreProviderGap, match="node 4 has dimension 1, the state 2"):
             provider.score(1.0, np.array([[0.5, 0.5]]))
 
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
     def test_interpolation_matches_scipy(self, m):
         from scipy.interpolate import RegularGridInterpolator
 
@@ -540,7 +580,7 @@ class TestTableProvider:
             x[:40, 0] = axes[0][-1]  # on the upper boundary of one axis
             x[40:50] = [g[-1] for g in axes]  # the upper corner
             x[50:60] = [g[0] for g in axes]
-            x[60:80, 1] = rng.choice(axes[1], 20)  # on interior grid lines
+            x[60:80, -1] = rng.choice(axes[-1], 20)  # on interior grid lines
             want = RegularGridInterpolator(axes, values, bounds_error=True)(x)
             got = _multilinear(axes, values, x)
             assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -562,7 +602,7 @@ class TestReverseSampler:
         # samples spread with variance 2 sigma0^2 T.
         model = make_model("ornstein_uhlenbeck", {"theta": 0.0, "sigma0": 1.0})
         grid = TimeGrid(horizon=1.0, steps=32)
-        out = reverse_time_sample(model, _ZeroScore(), grid, 4000, seed=55, x0=[0.0])
+        out = reverse_time_sample(model, _zero_score, grid, 4000, seed=55, x0=[0.0])
         assert out.shape == (4000, 1)
         var = out.var()
         assert abs(var - 2.0) < 0.22  # 5 sigma for the chi^2 spread of 4000 draws
@@ -571,8 +611,8 @@ class TestReverseSampler:
     def test_linear_reverse_collapses_to_start(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=64)
-        provider = AnalyticScoreProvider(model, [0.0])
-        out = reverse_time_sample(model, provider, grid, 2000, seed=56, x0=[0.0])
+        score = _analytic_score(model, [0.0])
+        out = reverse_time_sample(model, score, grid, 2000, seed=56, x0=[0.0])
         # Samples at t=0 concentrate on the point start; the residual spread
         # shrinks like sqrt(dt).
         assert abs(out.mean()) < 0.02
@@ -581,10 +621,10 @@ class TestReverseSampler:
     def test_sampler_is_deterministic_in_seed(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=16)
-        provider = AnalyticScoreProvider(model, [0.2])
-        a = reverse_time_sample(model, provider, grid, 300, seed=1, x0=[0.2])
-        b = reverse_time_sample(model, provider, grid, 300, seed=1, x0=[0.2])
-        c = reverse_time_sample(model, provider, grid, 300, seed=2, x0=[0.2])
+        score = _analytic_score(model, [0.2])
+        a = reverse_time_sample(model, score, grid, 300, seed=1, x0=[0.2])
+        b = reverse_time_sample(model, score, grid, 300, seed=1, x0=[0.2])
+        c = reverse_time_sample(model, score, grid, 300, seed=2, x0=[0.2])
         npt.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -599,7 +639,7 @@ class TestReverseSampler:
             return base.sigma(t, x)
 
         model = replace(base, sigma=counted)
-        reverse_time_sample(model, _ZeroScore(), TimeGrid(1.0, 32), 100, seed=3, x0=[0.5])
+        reverse_time_sample(model, _zero_score, TimeGrid(1.0, 32), 100, seed=3, x0=[0.5])
         assert len(calls) == 64
 
     @pytest.mark.xfail(
@@ -612,16 +652,15 @@ class TestReverseSampler:
         # forward law there: OU variance sigma0^2 (1 - e^{-2 theta t}) / (2 theta).
         # The collapse to x0 at t = 0 cannot tell the two drifts apart.
         model = make_model("ornstein_uhlenbeck", {"theta": 1.0, "sigma0": 2.0})
-        exact = AnalyticScoreProvider(model, [0.0])
+        exact = _analytic_score(model, [0.0])
         at_half = []
 
-        class Recording:
-            def score(self, t, x):
-                if math.isclose(t, 0.5):
-                    at_half.append(x.copy())
-                return exact.score(t, x)
+        def recording(t, x):
+            if math.isclose(t, 0.5):
+                at_half.append(x.copy())
+            return exact(t, x)
 
-        reverse_time_sample(model, Recording(), TimeGrid(1.0, 64), 20_000, seed=57, x0=[0.0])
+        reverse_time_sample(model, recording, TimeGrid(1.0, 64), 20_000, seed=57, x0=[0.0])
         var = np.concatenate(at_half).var()
         want = 2.0 * (1.0 - math.exp(-1.0))
         assert abs(var / want - 1.0) < 0.05
@@ -638,8 +677,8 @@ class TestReverseSampler:
             tables[node], _ = estimate_score(
                 model, grid, [0.0], [node * grid.dt], pts, 2000, seed=60 + node, knn=100
             )
-        provider = TableScoreProvider(tables, grid)
-        out = reverse_time_sample(model, provider, grid, 500, seed=77, x0=[0.0])
+        score = TableScoreProvider(tables, grid).score
+        out = reverse_time_sample(model, score, grid, 500, seed=77, x0=[0.0])
         assert out.shape == (500, 1)
         assert np.all(np.isfinite(out))
         assert abs(out.mean()) < 0.2
