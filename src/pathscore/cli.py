@@ -100,7 +100,6 @@ def cmd_score(cfg: RunConfig, out_dir: str, workers: int) -> int:
     model, grid, x0 = _build(cfg)
     nodes = _score_nodes(cfg, grid)
     points = cfg.y_points()
-    linear = model.name in ("ornstein_uhlenbeck", "linear_multidim")
     table, harvest = estimate_score(
         model,
         grid,
@@ -130,7 +129,7 @@ def cmd_score(cfg: RunConfig, out_dir: str, workers: int) -> int:
                 f"{'knn' if cfg.knn else np.array2string(table.bandwidth[j], precision=6)}\n"
             )
             scores, stderr = table.scores[j], table.stderr[j]
-            if linear:
+            if model.linear:
                 summary.write("  analytic comparison (k=1..m):\n")
                 ana = analytic_score_linear(model, t, x0, points)
                 for q in range(points.shape[0]):
@@ -305,12 +304,11 @@ def _validate_checks(cfg: RunConfig, workers: int):
         f"max |<DX_T, u_k> - identity| = {worst:.3e} over {idx.size} paths",
     )
 
-    if model.state_independent_diffusion:
-        # The same noise simulated again under a cleared flag runs the
+    if model.state_independent_diffusion or model.affine_coefficients:
+        # The same noise simulated again under cleared flags runs the
         # general assembly.
-        general = simulate_variation_batch(
-            replace(model, state_independent_diffusion=False), grid, inc, x0
-        )
+        cleared = replace(model, state_independent_diffusion=False, affine_coefficients=False)
+        general = simulate_variation_batch(cleared, grid, inc, x0)
         res_g = skorokhod_batch(general)["total"][usable, 0]
         res_c = skorokhod_batch(batch)["total"][usable, 0]
         dev = np.abs(res_g - res_c)

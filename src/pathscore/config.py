@@ -180,8 +180,6 @@ class RunConfig:
             np.linspace(lo, hi, n)
             for lo, hi, n in zip(self.y_min, self.y_max, self.y_count)
         ]
-        if len(axes) == 1:
-            return axes[0][:, None]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=-1)
 

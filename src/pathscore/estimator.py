@@ -459,39 +459,40 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def analytic_score_linear(model: SdeModel, t: float, x0, y) -> np.ndarray:
-    """Closed-form Gaussian score for the linear builtins.
+    """Closed-form Gaussian score at time t of a ``linear`` model from a point start.
 
-    The marginal law from a point start is Gaussian with mean exp(A t) x0 and
-    covariance solving the Lyapunov integral; the score is -cov^{-1}(y - mean).
-    Refuses t <= 0 (degenerate point mass) and nonlinear models.
+    A = db and Sigma = sigma are read at the origin. If they are the same at
+    times 0 and t and b(t, 0) = 0, X_t has mean exp(A t) x0 and a covariance
+    that one exponential of [[-A, Sigma Sigma^T], [0, A^T]] gives for every
+    m (Van Loan 1978); the score is -cov^{-1}(y - mean). Refuses t <= 0
+    (degenerate point mass) and every other model.
     """
     if t <= 0.0:
         raise ValueError(f"analytic score undefined at t={t} (needs t > 0)")
+    if not model.linear:
+        raise ValueError(f"no closed-form score for model '{model.name}'")
+    m = model.m
+    origin = np.zeros(m)
+    A, Sig = model.db(0.0, origin), model.sigma(0.0, origin)
+    if (
+        np.any(model.b(t, origin))
+        or not np.array_equal(model.db(t, origin), A)
+        or not np.array_equal(model.sigma(t, origin), Sig)
+    ):
+        raise ValueError(
+            f"no closed-form score for model '{model.name}': "
+            "b(t, 0) != 0, or db or sigma depends on t"
+        )
     y = np.asarray(y, dtype=float)
-    x0 = np.asarray(x0, dtype=float).reshape(model.m)
-
-    if model.name == "ornstein_uhlenbeck":
-        theta, sigma0 = model.params["theta"], model.params["sigma0"]
-        mean = x0 * math.exp(-theta * t)
-        if theta == 0.0:
-            var = sigma0**2 * t
-        else:
-            var = sigma0**2 * (1.0 - math.exp(-2.0 * theta * t)) / (2.0 * theta)
-        return -(y - mean) / var
-    if model.name == "linear_multidim":
-        A = np.array(model.params["A"])
-        Sig = np.array(model.params["Sigma"])
-        Q = Sig @ Sig.T
-        m = model.m
-        blk = np.zeros((2 * m, 2 * m))
-        blk[:m, :m] = -A
-        blk[:m, m:] = Q
-        blk[m:, m:] = A.T
-        E = _expm(blk * t)
-        cov = E[m:, m:].T @ E[:m, m:]
-        mean = _expm(A * t) @ x0
-        return -np.einsum("ij,...j->...i", np.linalg.inv(cov), y - mean)
-    raise ValueError(f"no closed-form score for model '{model.name}'")
+    x0 = np.asarray(x0, dtype=float).reshape(m)
+    blk = np.zeros((2 * m, 2 * m))
+    blk[:m, :m] = -A
+    blk[:m, m:] = Sig @ Sig.T
+    blk[m:, m:] = A.T
+    E = _expm(blk * t)
+    cov = E[m:, m:].T @ E[:m, m:]
+    mean = _expm(A * t) @ x0
+    return -np.einsum("ij,...j->...i", np.linalg.inv(cov), y - mean)
 
 
 def _multilinear(axes, values, x):

@@ -149,12 +149,12 @@ def _zero_sums(model: SdeModel, B: int) -> dict:
 
     P and Gam always. B1 enters delta only through Z, so a model flagged
     affine_coefficients drops it; A, R_tot, B2 and C2 are sums of R_n,
-    which is zero when both flags are set, as on the linear builtins.
+    which is zero on a ``linear`` model (both flags set).
     """
     ranks = dict(P=1, Gam=2)
     if not model.affine_coefficients:
         ranks["B1"] = 4
-    if not (model.affine_coefficients and model.state_independent_diffusion):
+    if not model.linear:
         ranks.update(A=1, R_tot=3, B2=3, C2=3)
     return {name: np.zeros((B,) + (model.m,) * rank) for name, rank in ranks.items()}
 

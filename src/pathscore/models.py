@@ -42,9 +42,17 @@ class SdeModel:
     state_independent_diffusion: bool = False
     # b and sigma are affine in x (d2b = d2sigma = 0), so the second
     # variation Z stays 0 and its terms are skipped. With
-    # state_independent_diffusion also set, db is evaluated once per step at
-    # the origin and shared by every path, so db must not depend on x.
+    # state_independent_diffusion also set the model is ``linear``.
     affine_coefficients: bool = False
+
+    @property
+    def linear(self) -> bool:
+        """Both flags set: b = A(t) x + c(t) and sigma = Sigma(t).
+
+        Y is then deterministic, from db read at the origin (db must not
+        depend on x), and the law from a point start is Gaussian.
+        """
+        return self.affine_coefficients and self.state_independent_diffusion
 
 
 def _bcast(const: np.ndarray, x: np.ndarray, trailing: int) -> np.ndarray:
@@ -61,25 +69,30 @@ def _zeros_like_batch(x: np.ndarray, shape: tuple) -> np.ndarray:
     return np.broadcast_to(np.zeros(shape), x.shape[:-1] + shape)
 
 
-def ornstein_uhlenbeck(theta: float = 1.0, sigma0: float = 1.0) -> SdeModel:
-    """Linear drift -theta*x with constant scalar diffusion, m = d = 1."""
-    theta, sigma0 = float(theta), float(sigma0)
-    sig = np.array([[sigma0]])
-    dbm = np.array([[-theta]])
+def _linear(name: str, A, Sigma, params: dict) -> SdeModel:
+    """Linear drift b = A x with constant diffusion matrix Sigma (m x d)."""
+    A, Sigma = np.asarray(A, dtype=float), np.asarray(Sigma, dtype=float)
+    m, d = Sigma.shape
     return SdeModel(
-        name="ornstein_uhlenbeck",
-        m=1,
-        d=1,
-        params={"theta": theta, "sigma0": sigma0},
-        b=lambda t, x: -theta * x,
-        sigma=lambda t, x: _bcast(sig, x, 2),
-        db=lambda t, x: _bcast(dbm, x, 2),
-        dsigma=lambda t, x: _zeros_like_batch(x, (1, 1, 1)),
-        d2b=lambda t, x: _zeros_like_batch(x, (1, 1, 1)),
-        d2sigma=lambda t, x: _zeros_like_batch(x, (1, 1, 1, 1)),
+        name=name,
+        m=m,
+        d=d,
+        params=params,
+        b=lambda t, x: np.einsum("ij,...j->...i", A, x),
+        sigma=lambda t, x: _bcast(Sigma, x, 2),
+        db=lambda t, x: _bcast(A, x, 2),
+        dsigma=lambda t, x: _zeros_like_batch(x, (d, m, m)),
+        d2b=lambda t, x: _zeros_like_batch(x, (m, m, m)),
+        d2sigma=lambda t, x: _zeros_like_batch(x, (d, m, m, m)),
         state_independent_diffusion=True,
         affine_coefficients=True,
     )
+
+
+def ornstein_uhlenbeck(theta: float = 1.0, sigma0: float = 1.0) -> SdeModel:
+    """Linear drift -theta*x with constant scalar diffusion, m = d = 1."""
+    theta, sigma0 = float(theta), float(sigma0)
+    return _linear("ornstein_uhlenbeck", [[-theta]], [[sigma0]], {"theta": theta, "sigma0": sigma0})
 
 
 def bounded_nonlinear_drift(k: float = 1.0, a: float = 0.0, sigma0: float = 1.0) -> SdeModel:
@@ -160,22 +173,7 @@ def linear_multidim(A=None, Sigma=None) -> SdeModel:
     Sigma = np.array(_LINEAR_SIGMA_DEFAULT if Sigma is None else Sigma, dtype=float)
     if A.shape != (2, 2) or Sigma.shape != (2, 2):
         raise ValueError("linear_multidim expects 2x2 matrices A and Sigma")
-    m = 2
-
-    return SdeModel(
-        name="linear_multidim",
-        m=m,
-        d=m,
-        params={"A": A.tolist(), "Sigma": Sigma.tolist()},
-        b=lambda t, x: np.einsum("ij,...j->...i", A, x),
-        sigma=lambda t, x: _bcast(Sigma, x, 2),
-        db=lambda t, x: _bcast(A, x, 2),
-        dsigma=lambda t, x: _zeros_like_batch(x, (m, m, m)),
-        d2b=lambda t, x: _zeros_like_batch(x, (m, m, m)),
-        d2sigma=lambda t, x: _zeros_like_batch(x, (m, m, m, m)),
-        state_independent_diffusion=True,
-        affine_coefficients=True,
-    )
+    return _linear("linear_multidim", A, Sigma, {"A": A.tolist(), "Sigma": Sigma.tolist()})
 
 
 BUILTIN_MODELS = {

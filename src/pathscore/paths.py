@@ -13,9 +13,9 @@ the step into the running sums from which malliavin.skorokhod_batch
 reads the anticipating integrals, so it is the only pass over the path,
 and keeps both only at the requested nodes. On a model flagged
 ``affine_coefficients`` Z stays at its zero start, and on one flagged
-``state_independent_diffusion`` the dsigma terms are skipped. With both
-flags set Y is deterministic, the same on every path, so the loop carries
-one row of (Y, Z) and inverts it once per step.
+``state_independent_diffusion`` the dsigma terms are skipped. On a
+``linear`` model (both flags set) Y is deterministic, the same on every
+path, so the loop carries one row of (Y, Z) and inverts it once per step.
 
 Everything is vectorized over a leading batch-of-paths axis, and a single
 path is a row slice of a batch (TrajectoryBatch.take). Noise is
@@ -163,7 +163,7 @@ def simulate_variation_batch(
 
     On a model flagged ``state_independent_diffusion`` the dsigma terms of
     the Y and Z updates are skipped, and on one flagged
-    ``affine_coefficients`` Z stays at its zero start. With both flags set
+    ``affine_coefficients`` Z stays at its zero start. On a ``linear`` model
     Y, Yinv and Z are shared by every path: they are carried on a batch axis
     of length 1, db is evaluated once at the origin (it cannot depend on x), and
     Yinv_n, V_n and S_n are formed once per step, while P and Gamma still
@@ -189,7 +189,7 @@ def simulate_variation_batch(
     # serves every path; the sums broadcast it against the per-path dW. Its db
     # does not depend on x, so it is read at the origin, which stays finite
     # when some path blows up.
-    shared = model.affine_coefficients and model.state_independent_diffusion
+    shared = model.linear
     rows = 1 if shared else B
     origin = np.zeros((1, m))
 

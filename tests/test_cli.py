@@ -307,6 +307,34 @@ validate:
         assert "FAIL duality" in captured.out
         assert "overall: FAIL" in (out / "validation.txt").read_text()
 
+    def test_wrongly_flagged_affine_model_fails(self, tmp_path, capsys, monkeypatch):
+        # state_dependent_tanh has d2sigma != 0, so with affine_coefficients
+        # set its delta drops Z terms it needs. The corollary check clears
+        # both flags and must see the difference.
+        real = cli.make_model
+        monkeypatch.setattr(
+            cli, "make_model", lambda *a: replace(real(*a), affine_coefficients=True)
+        )
+        cfg = _write(
+            tmp_path,
+            """
+model:
+  name: state_dependent_tanh
+grid:
+  horizon: 1.0
+  steps: 16
+sampling:
+  x0: [0.5]
+  n_paths: 100
+  seed: 20260814
+validate:
+  n_paths: 500
+""",
+        )
+        rc = _run(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "FAIL corollary-equivalence" in capsys.readouterr().out
+
 
 class TestErrorPaths:
     def _expect_config_error(self, args, capsys, needle):
@@ -506,12 +534,14 @@ def reverse(provider, **tables):
 
 tanh = ("state_dependent_tanh", 8, [0.3])
 lin = ("linear_multidim", 4, [0.3, -0.2])
+ou = ("ornstein_uhlenbeck", 4, [0.3])
 before = set(sys.modules)
 run(0, "score", *tanh, score(8, [-6.0], [6.0], [25]))
 run(1, "reverse", *tanh, reverse("tables", tables_dir=os.path.join(out, "0")))
 run(2, "score", *lin, score(4, [-5.0, -5.0], [5.0, 5.0], [9, 9]))
 run(3, "reverse", *lin, reverse("analytic"))
 run(4, "reverse", *lin, reverse("tables", tables_dir=os.path.join(out, "2")))
+run(5, "reverse", *ou, reverse("analytic"))
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
@@ -540,6 +570,7 @@ class TestImportGraph:
 
     def test_requests_import_nothing_after_start_up(self, tmp_path):
         # k-NN score tables, a tables reverse from them, an m=2 score with
-        # its analytic comparison, and analytic and tables reverses at m=2.
+        # its analytic comparison, analytic and tables reverses at m=2, and an
+        # analytic reverse at m=1.
         # A module a request imports is paid for inside the request.
         assert _fresh_python(REQUESTS_SCRIPT, str(tmp_path)) == []

@@ -35,7 +35,7 @@ from pathscore.estimator import (
     silverman_bandwidth,
     write_score_csv,
 )
-from pathscore.models import make_model
+from pathscore.models import _linear, make_model
 from pathscore.paths import TimeGrid
 
 OU_SCORE_AT_HALF = -1.1565176427496657  # -(0.5 - 0) / ((1 - e^{-2}) / 2)
@@ -420,18 +420,28 @@ class TestAnalyticScore:
         got = analytic_score_linear(model, 0.5, [1.0], np.array([[3.0]]))
         npt.assert_allclose(got, [[-(3.0 - 1.0) / 2.0]], rtol=1e-14)
 
-    def test_multidim_against_quadrature(self):
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_multidim_against_quadrature(self, m):
         from scipy.linalg import expm
 
-        model = make_model("linear_multidim")
-        A = np.array(model.params["A"])
-        Q = np.array(model.params["Sigma"]) @ np.array(model.params["Sigma"]).T
-        t, x0 = 0.8, np.array([0.3, -0.2])
+        if m == 1:
+            model = make_model("ornstein_uhlenbeck", {"theta": 0.7, "sigma0": 1.3})
+        elif m == 2:
+            model = make_model("linear_multidim")
+        else:
+            A3 = [[-1.0, 0.3, 0.0], [-0.2, -0.8, 0.4], [0.1, 0.0, -0.5]]
+            Sigma3 = [[0.8, 0.1, 0.0], [0.0, 0.7, 0.2], [0.3, 0.0, 0.6]]
+            model = _linear("linear_3d", A3, Sigma3, {})
+        # The reference reads A and Sigma off the model once, away from the origin.
+        A = model.db(0.5, np.ones(m))
+        Sig = model.sigma(0.5, np.ones(m))
+        Q = Sig @ Sig.T
+        t, x0 = 0.8, np.array([0.3, -0.2, 0.5][:m])
         s_grid = np.linspace(0.0, t, 4001)
         kernels = np.array([expm(A * (t - s)) @ Q @ expm(A.T * (t - s)) for s in s_grid])
         cov = np.trapezoid(kernels, s_grid, axis=0)
         mean = expm(A * t) @ x0
-        y = np.array([0.5, 0.1])
+        y = np.array([0.5, 0.1, -0.4][:m])
         want = -np.linalg.solve(cov, y - mean)
         got = analytic_score_linear(model, t, x0, y)
         npt.assert_allclose(got, want, rtol=1e-6)
@@ -465,6 +475,18 @@ class TestAnalyticScore:
             analytic_score_linear(ou, 0.0, [0.0], np.array([0.5]))
         with pytest.raises(ValueError, match="no closed-form"):
             analytic_score_linear(make_model("state_dependent_tanh"), 1.0, [0.0], np.array([0.5]))
+        # Linear, but not of the form the closed form covers: a drift offset,
+        # and a reversion rate that grows with t.
+        offset = replace(ou, b=lambda t, x: ou.b(t, x) + 0.25)
+        with pytest.raises(ValueError, match="no closed-form"):
+            analytic_score_linear(offset, 1.0, [0.0], np.array([0.5]))
+        scheduled = replace(
+            ou,
+            b=lambda t, x: (1.0 + t) * ou.b(t, x),
+            db=lambda t, x: (1.0 + t) * ou.db(t, x),
+        )
+        with pytest.raises(ValueError, match="no closed-form"):
+            analytic_score_linear(scheduled, 1.0, [0.0], np.array([0.5]))
 
 
 class TestTableProvider:
