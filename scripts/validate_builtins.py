@@ -34,7 +34,6 @@ def main() -> int:
             "model": {"name": name},
             "grid": {"horizon": 1.0, "steps": args.steps},
             "sampling": {"x0": setup["x0"], "n_paths": args.paths, "seed": args.seed},
-            "validate": {"n_paths": args.paths, "bump_probes": 20},
         }
         with tempfile.TemporaryDirectory() as tmp:
             cfg_path = f"{tmp}/cfg.yaml"

@@ -14,7 +14,7 @@ from .estimator import (
     harvest_paths,
     reverse_time_sample,
 )
-from .malliavin import compute_bundle_batch, skorokhod_batch
+from .malliavin import skorokhod_batch
 from .models import SdeModel, check_derivatives, make_model
 from .oracles import duality_report, fd_malliavin, fokker_planck_1d, kde_score
 from .paths import TimeGrid, TrajectoryBatch, sample_brownian_block, simulate_variation_batch
@@ -28,7 +28,6 @@ __all__ = [
     "TimeGrid",
     "TrajectoryBatch",
     "check_derivatives",
-    "compute_bundle_batch",
     "duality_report",
     "estimate_score",
     "fd_malliavin",

@@ -156,8 +156,6 @@ class RunConfig:
     reverse_provider: str = _key("reverse", "provider", _provider, default="analytic")
     reverse_samples: int = _key("reverse", "n_samples", _positive(_int), default=10_000)
     reverse_tables_dir: str | None = _key("reverse", "tables_dir", _optional(_str), default=None)
-    validate_paths: int = _key("validate", "n_paths", _positive(_int), default=10_000)
-    bump_probes: int = _key("validate", "bump_probes", _positive(_int), default=20)
 
     def __post_init__(self):
         if not len(self.y_min) == len(self.y_max) == len(self.y_count):

@@ -39,10 +39,9 @@ from .malliavin import skorokhod_batch
 from .models import SdeModel, divergence_sigma_sigma_T
 from .paths import TimeGrid, euler_state_batch, sample_brownian_block, simulate_variation_batch
 
-# Noise-stream offsets: the reverse sampler must not reuse the forward
+# Noise-stream offset: the reverse sampler must not reuse the forward
 # score-estimation paths at the same seed.
-REVERSE_TERMINAL_OFFSET = 2**48
-REVERSE_BACKWARD_OFFSET = 2**49
+REVERSE_OFFSET = 2**48
 
 # Stage timings, at INFO; the CLI prints them to stderr.
 log = logging.getLogger(__name__)
@@ -593,8 +592,9 @@ def reverse_time_sample(
 
     ``score(t, x)`` maps a grid time and states (B, m) to scores (B, m): a
     closure over analytic_score_linear, or TableScoreProvider(...).score.
-    Terminal states come from a fresh forward Euler run (noise streams offset
-    from the score-estimation paths). Stepping toward zero:
+    Terminal states come from a fresh forward Euler run; one noise stream per
+    sample, offset from the score-estimation paths, drives it and then the
+    reverse steps. Stepping toward zero:
 
       X_{t-dt} = X_t + [b - div(sigma sigma^T) + sigma . s(t, X_t)] dt
                  + sigma sqrt(dt) xi
@@ -603,12 +603,15 @@ def reverse_time_sample(
     """
     ch = chunk_size(model.m)
     dt = grid.dt
+    twice = TimeGrid(2 * grid.horizon, 2 * grid.steps)
     out = np.empty((n_samples, model.m))
     for lo in range(0, n_samples, ch):
         hi = min(n_samples, lo + ch)
-        fwd = sample_brownian_block(grid, model.d, seed, REVERSE_TERMINAL_OFFSET + lo, hi - lo)
-        x = euler_state_batch(model, grid, fwd, x0)
-        bwd = sample_brownian_block(grid, model.d, seed, REVERSE_BACKWARD_OFFSET + lo, hi - lo)
+        # One stream per sample over twice the steps, at the same dt: the
+        # first N increments drive the forward run, the next N the reverse.
+        inc = sample_brownian_block(twice, model.d, seed, REVERSE_OFFSET + lo, hi - lo)
+        x = euler_state_batch(model, grid, inc[:, : grid.steps], x0)
+        bwd = inc[:, grid.steps :]
         for k in range(grid.steps, 0, -1):
             t = k * dt
             s = score(t, x)

@@ -3,6 +3,7 @@
 Nothing here feeds the estimator; these are slower, structurally different
 computations of the same quantities:
 
+  covering_products  the quadrature of <DX_T^i, u_k> = delta_ik on every path
   per-node formulas  direct O(N^2) noise derivatives of one path of a batch
   fd_malliavin       re-simulation under a bumped Brownian increment
   kde_score          gradient of a Gaussian kernel density estimate
@@ -29,6 +30,16 @@ DENSITY_FLOOR = 1e-12
 MASS_TOL = 1e-3
 
 
+def covering_products(batch: TrajectoryBatch) -> np.ndarray:
+    """Left-point quadrature of <DX_T^i, u_k> on every path, shape (B, m, m).
+
+    Each path's matrix equals the identity. A singular path's rows are nan,
+    as its gamma inverse is.
+    """
+    bundle = compute_bundle_batch(batch)
+    return batch.grid.dt * np.einsum("bnil,bnjl,bjk->bik", bundle.W, bundle.V, bundle.F)
+
+
 # Direct per-node formulas. Each reads path p of a batch and evaluates one
 # node (pair) at a time, quadratic in N over a whole path; the O(N) assembly
 # in malliavin.py must reproduce them.
@@ -45,15 +56,6 @@ def malliavin_derivative_state(batch: TrajectoryBatch, p: int, i: int) -> np.nda
     if not 0 <= i <= N:
         raise IndexError(f"node {i} outside [0, {N}]")
     return batch.Y[p, N] @ batch.Yinv[p, i] @ _node_coeff(batch, p, i, "sigma")
-
-
-def covering_inner_product(batch: TrajectoryBatch, p: int, i_comp: int, k: int) -> float:
-    """Left-point quadrature of <W^{i_comp}, u_k> on path p; equals delta_{i_comp,k}."""
-    bundle = compute_bundle_batch(batch.take([p]))
-    if bundle.singular[0]:
-        raise ValueError("bundle is near-singular; covering field undefined")
-    u = np.einsum("j,njl->nl", bundle.F[0][:, k], bundle.V[0])
-    return float(batch.grid.dt * np.einsum("nl,nl->", bundle.W[0, :, i_comp, :], u))
 
 
 def _dt_first_variation_to(batch: TrajectoryBatch, p: int, i: int, s: int) -> np.ndarray:

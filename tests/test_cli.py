@@ -251,11 +251,8 @@ grid:
   steps: 64
 sampling:
   x0: [0.0]
-  n_paths: 100
-  seed: 5
-validate:
   n_paths: 2000
-  bump_probes: 4
+  seed: 5
 """,
         )
         out = tmp_path / "out"
@@ -293,11 +290,8 @@ grid:
   steps: 64
 sampling:
   x0: [0.5]
-  n_paths: 100
-  seed: 5
-validate:
   n_paths: 4000
-  bump_probes: 4
+  seed: 5
 """,
         )
         out = tmp_path / "out"
@@ -325,15 +319,38 @@ grid:
   steps: 16
 sampling:
   x0: [0.5]
-  n_paths: 100
-  seed: 20260814
-validate:
   n_paths: 500
+  seed: 20260814
 """,
         )
         rc = _run(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "FAIL corollary-equivalence" in capsys.readouterr().out
+
+    def test_no_usable_path_fails_instead_of_passing_over_none(self, tmp_path, capsys):
+        # With no noise every Gram matrix is singular, so the covering and
+        # corollary checks have no path to run on and must not PASS.
+        cfg = _write(
+            tmp_path,
+            """
+model:
+  name: ornstein_uhlenbeck
+  params: {sigma0: 0.0}
+grid:
+  horizon: 1.0
+  steps: 16
+sampling:
+  x0: [0.0]
+  n_paths: 100
+  seed: 5
+""",
+        )
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rc = _run(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert rc != 0
+        assert "FAIL covering-condition: max |<DX_T, u_k> - identity| = nan over 0 paths" in out
+        assert "FAIL corollary-equivalence" in out
 
 
 class TestErrorPaths:
@@ -461,9 +478,9 @@ class TestErrorPaths:
         )
         assert ran == []
 
-    def _tables(self, tmp_path, capsys, model, x0, steps, y):
-        """Score tables at every node of a horizon-1 grid, via the score command."""
-        t_eval = [k / steps for k in range(1, steps + 1)]
+    def _tables(self, tmp_path, capsys, model, x0, steps, y, first=1):
+        """Score tables at nodes first..steps of a horizon-1 grid, via the score command."""
+        t_eval = [k / steps for k in range(first, steps + 1)]
         cfg = _write(
             tmp_path,
             f"model:\n  name: {model}\ngrid:\n  horizon: 1.0\n  steps: {steps}\n"
@@ -484,6 +501,18 @@ class TestErrorPaths:
             f"sampling:\n  x0: {x0}\n  n_paths: 100\n  seed: 3\n"
             f"reverse:\n  provider: tables\n  n_samples: 64\n  tables_dir: {tables}\n",
             name="rev.yaml",
+        )
+
+    def test_incomplete_tables_directory_refused_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        tables = self._tables(tmp_path, capsys, "ornstein_uhlenbeck", [0.0], 8, 6.0, first=2)
+        cfg = self._reverse_on(tmp_path, tables, "ornstein_uhlenbeck", [0.0], 1.0)
+        monkeypatch.setattr(cli, "reverse_time_sample", lambda *a: pytest.fail("reverse ran"))
+        self._expect_config_error(
+            ["reverse", "--config", cfg, "--out", str(tmp_path / "o")],
+            capsys,
+            "no score_n*.csv tables for nodes [1] of 1..8",
         )
 
     def test_tables_from_another_grid_refused(self, tmp_path, capsys):
@@ -560,12 +589,12 @@ def _fresh_python(code, *args):
 class TestImportGraph:
     def test_cli_import_leaves_out_the_heavy_modules(self):
         # scipy.linalg's package import costs more than a small score
-        # request; only the Fokker-Planck oracle needs it, and no command
+        # request; only the Fokker-Planck oracle needs SciPy, and no command
         # calls that. multiprocessing is needed only for workers > 1.
         loaded = _fresh_python(
             "import sys, pathscore, pathscore.cli; print(' '.join(sys.modules))"
         )
-        for heavy in ("scipy.linalg", "scipy.interpolate", "multiprocessing"):
+        for heavy in ("scipy", "scipy.linalg", "scipy.interpolate", "multiprocessing"):
             assert heavy not in loaded
 
     def test_requests_import_nothing_after_start_up(self, tmp_path):

@@ -36,7 +36,6 @@ class TestParse:
         assert cfg.out_dir == "out" and cfg.dump_paths == 0
         assert cfg.reverse_provider == "analytic" and cfg.reverse_samples == 10_000
         assert cfg.reverse_tables_dir is None
-        assert cfg.validate_paths == 10_000 and cfg.bump_probes == 20
         assert not cfg.dump_breakdown
 
     def test_full_round_trip(self):
@@ -51,7 +50,6 @@ class TestParse:
             },
             output={"directory": "run1", "dump_paths": 2, "dump_breakdown": True},
             reverse={"provider": "tables", "n_samples": 500, "tables_dir": "tabs"},
-            validate={"n_paths": 123, "bump_probes": 4},
         )
         cfg = parse_config(raw)
         assert cfg.model_params == {"alpha": 0.25}
@@ -60,7 +58,6 @@ class TestParse:
         assert cfg.out_dir == "run1" and cfg.dump_paths == 2 and cfg.dump_breakdown
         assert cfg.reverse_provider == "tables"
         assert cfg.reverse_samples == 500 and cfg.reverse_tables_dir == "tabs"
-        assert cfg.validate_paths == 123 and cfg.bump_probes == 4
 
     def test_scalar_x0_promoted_to_tuple(self):
         cfg = parse_config(_minimal(sampling={"x0": 0.5, "n_paths": 100, "seed": 1}))
@@ -108,14 +105,9 @@ class TestParse:
         (lambda r: r.__setitem__("reverse", {"provider": "magic"}), "reverse.provider"),
         (lambda r: r.__setitem__("reverse", {"tables_dir": 3}), "reverse.tables_dir"),
         (lambda r: r.__setitem__("grid", [1, 2]), "grid: expected a mapping"),
-        (lambda r: r.__setitem__("validate", []), "validate: expected a mapping"),
+        (lambda r: r.__setitem__("validate", {"n_paths": 1000}), "validate: unknown section"),
         (lambda r: r.__setitem__("output", 0), "output: expected a mapping"),
         (lambda r: r.__setitem__("reverse", {"n_samples": 0}), "reverse.n_samples: must be positive"),
-        (lambda r: r.__setitem__("validate", {"n_paths": 0}), "validate.n_paths: must be positive"),
-        (
-            lambda r: r.__setitem__("validate", {"bump_probes": 0}),
-            "validate.bump_probes: must be positive",
-        ),
         (
             lambda r: r.__setitem__("reverse", {"provider": "tables"}),
             "reverse.tables_dir: required when provider is 'tables'",

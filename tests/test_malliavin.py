@@ -17,7 +17,7 @@ from pathscore.estimator import harvest_paths
 from pathscore.malliavin import _invert_gram, compute_bundle_batch, skorokhod_batch
 from pathscore.models import SdeModel, check_derivatives, make_model
 from pathscore.oracles import (
-    covering_inner_product,
+    covering_products,
     dt_first_variation,
     dt_gamma,
     dt_gamma_split,
@@ -172,9 +172,9 @@ class TestBundle:
         with np.errstate(invalid="ignore", divide="ignore"):
             bundle = compute_bundle_batch(batch)
             out = skorokhod_batch(batch, [8, 16])
-            with pytest.raises(ValueError, match="near-singular"):
-                covering_inner_product(batch, 0, 0, 0)
+            products = covering_products(batch)
         assert bundle.singular[0]
+        assert np.all(np.isnan(products))
         assert np.all(np.isnan(bundle.gamma_inv))
         assert np.all(out["finite"]) and np.all(out["singular"])
         assert all(np.all(np.isnan(out[key])) for key in TERMS)
@@ -220,11 +220,9 @@ class TestCoveringFields:
     )
     def test_inner_products_pick_out_components(self, name, x0):
         batch = _path(name, 64, 12, x0)
-        m = batch.model.m
-        for i_comp in range(m):
-            for k in range(m):
-                ip = covering_inner_product(batch, 0, i_comp, k)
-                assert abs(ip - (1.0 if i_comp == k else 0.0)) < 1e-10
+        products = covering_products(batch)
+        assert products.shape == (1, batch.model.m, batch.model.m)
+        npt.assert_allclose(products[0], np.eye(batch.model.m), rtol=0, atol=1e-10)
 
 
 class TestNoiseDerivatives:
