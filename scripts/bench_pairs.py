@@ -35,6 +35,10 @@ SIDES = ("parent", "change")
 PAIRS = 10
 SEED = 11
 SECONDS = 30
+# report() lists a traced per-layer value that moved by this share of the
+# parent's, and by this many seconds for a time.
+MOVED = 0.10
+MOVED_S = 1e-3
 
 
 def export_commit(commit: str, dest: str) -> str:
@@ -72,7 +76,12 @@ def medians(runs: list[dict], metrics: list[str]) -> dict:
 
 
 def report(workload: str, runs: list[dict], end_to_end: list[dict]) -> None:
-    """Medians, parent IQR and pairs won per end-to-end metric, to stderr."""
+    """Medians, parent IQR and pairs won per end-to-end metric, to stderr.
+
+    Then the traced pair's per-layer values, parent -> change, of the layers
+    that moved by at least MOVED of the parent's value (and by at least
+    MOVED_S for a time), so stage numbers come from the same run as the claim.
+    """
     side = {s: [r for r in runs if r["side"] == s and r["trace"] == 0] for s in SIDES}
     for spec in end_to_end:
         name = spec["name"]
@@ -86,6 +95,14 @@ def report(workload: str, runs: list[dict], end_to_end: list[dict]) -> None:
             f"won {wins}/{len(vals['change'])} parent IQR {q[2] - q[0]:.3g}",
             file=sys.stderr,
         )
+    traced = {r["side"]: r["result"]["metrics"] for r in runs if r["trace"]}
+    parent, change = traced.get("parent", {}), traced.get("change", {})
+    for name in (name for name in parent if name in change):
+        p, c = parent[name]["value"], change[name]["value"]
+        moved = abs(c - p)
+        floor = max(MOVED * abs(p), MOVED_S if parent[name]["unit"] == "s" else 0.0)
+        if moved > 0 and moved >= floor:
+            print(f"{workload:24s} {name:30s} traced {p:.6g} -> {c:.6g}", file=sys.stderr)
 
 
 def main(argv=None) -> int:

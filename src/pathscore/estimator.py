@@ -390,15 +390,13 @@ def write_score_csv(fh, table: ScoreTable, j: int) -> None:
     """Long-format dump of time t[j]: one row per (evaluation point, direction)."""
     m = table.points.shape[1]
     t, excluded = float(table.t[j]), int(table.excluded[j])
-    scores, stderr, n_eff = table.scores[j], table.stderr[j], table.n_eff[j]
     fh.write(score_table_header(m) + "\n")
-    for q in range(table.points.shape[0]):
-        ys = ",".join(repr(float(v)) for v in table.points[q])
+    # Python floats from tolist(), whose repr is the value's shortest round trip.
+    columns = (table.points, table.scores[j], table.stderr[j], table.n_eff[j])
+    for point, scores, stderr, n_eff in zip(*(a.tolist() for a in columns)):
+        ys = ",".join(map(repr, point))
         for k in range(m):
-            fh.write(
-                f"{t!r},{ys},{k + 1},{float(scores[q, k])!r},"
-                f"{float(stderr[q, k])!r},{float(n_eff[q])!r},{excluded}\n"
-            )
+            fh.write(f"{t!r},{ys},{k + 1},{scores[k]!r},{stderr[k]!r},{n_eff!r},{excluded}\n")
 
 
 def read_score_csv(fh) -> ScoreTable:

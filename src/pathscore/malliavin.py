@@ -54,12 +54,15 @@ nodes it is asked for. It keeps only the sums the model's flags leave
 nonzero: B1 enters only through Z, so an affine model drops it, and with
 both flags set R_n = 0 and only P and Gamma remain. skorokhod_batch only
 contracts the sums kept at each requested node n with (Y_n, Z_n) and
-gamma = Y_n Gamma Y_n^T. One simulation to the last requested node serves
-every earlier one, and no per-step array of the whole path is formed.
+gamma = Y_n Gamma Y_n^T, every node in one pass over (node, path) rows in
+blocks of _BLOCK rows times m^4 (one node at least); at m = 1 as products.
+One simulation to the last requested node serves every earlier one, and no
+per-step array of the whole path is formed.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -71,6 +74,8 @@ if TYPE_CHECKING:
 
 # Paths whose Gram matrix has a condition number at or above this are singular.
 COND_LIMIT = 1e8
+# At most this many rows times m^4 per skorokhod_batch block, whatever the node count.
+_BLOCK = 2**14
 
 
 @dataclass
@@ -99,8 +104,14 @@ def _invert_gram(gamma: np.ndarray, usable: np.ndarray):
     The condition number of the symmetric gamma is max|lambda| / min|lambda|
     over its eigenvalues; a zero eigenvalue makes it inf. A
     matrix is singular when its path is not usable, it is non-finite, or its
-    condition number is at or above COND_LIMIT; its inverse is nan.
+    condition number is at or above COND_LIMIT; its inverse is nan. At m = 1
+    that is cond 1 and the reciprocal, or cond inf when gamma is zero.
     """
+    if gamma.shape[-1] == 1:
+        g = gamma[:, 0, 0]
+        ok = usable & np.isfinite(g) & (g != 0.0)
+        gamma_inv = np.divide(1.0, g, out=np.full_like(g, np.nan), where=ok)
+        return np.where(ok, 1.0, np.inf), ~ok, gamma_inv[:, None, None]
     finite = np.all(np.isfinite(gamma), axis=(1, 2)) & usable
     cond = np.full(gamma.shape[0], np.inf)
     if np.any(finite):
@@ -210,53 +221,71 @@ def skorokhod_batch(batch: TrajectoryBatch, nodes=None) -> dict:
     wanted = [grid.steps] if nodes is None else [int(n) for n in nodes]
     if not wanted or min(wanted) < 1 or max(wanted) > grid.steps:
         raise ValueError(f"nodes must lie in [1, {grid.steps}], got {nodes}")
-    walk, order = np.unique(wanted, return_inverse=True)
     # A set, not np.setdiff1d, which would import numpy.ma into the request.
-    missing = sorted(set(walk.tolist()) - set(batch.nodes.tolist()))
+    missing = sorted(set(wanted) - set(batch.nodes.tolist()))
     if missing:
         raise ValueError(f"nodes {missing} were not kept by the simulation")
-    # Paths that are not finite carry nan or inf through the einsums and are
-    # masked at each node; silence the arithmetic warnings they would trigger.
+    cols = np.searchsorted(batch.nodes, wanted)
+    B, K = batch.n_paths, len(cols)
+    step = max(1, _BLOCK // max(1, B * batch.model.m**4))
+    kept = dict(Yn=batch.Y, Zn=batch.Z, finite=batch.finite, **batch.sums)
     out = {}
+    # Paths that are not finite carry nan or inf through the einsums and are
+    # masked in _terms_at_node; silence the arithmetic warnings they trigger.
     with np.errstate(invalid="ignore", over="ignore"):
-        for j, k in enumerate(np.searchsorted(batch.nodes, walk)):
-            sums = {name: s[:, k] for name, s in batch.sums.items()}
-            terms = _terms_at_node(batch.Y[:, k], batch.Z[:, k], batch.finite[:, k], **sums)
-            for key, v in terms.items():
-                shape = (batch.n_paths, len(wanted)) + v.shape[1:]
-                out.setdefault(key, np.empty(shape, v.dtype))[:, order == j] = v[:, None]
-    return out
+        for lo in range(0, K, step):
+            sel = cols[lo : lo + step]
+            # The block's node columns, copied once into contiguous (node, path) rows.
+            rows = {k: a.swapaxes(0, 1)[sel].reshape((-1,) + a.shape[2:]) for k, a in kept.items()}
+            for key, v in _terms_at_node(**rows).items():
+                v = v.reshape((len(sel), B) + v.shape[1:])
+                out.setdefault(key, np.empty((K,) + v.shape[1:], v.dtype))[lo : lo + step] = v
+    return {key: v.swapaxes(0, 1) for key, v in out.items()}
+
+
+def _contract(spec: str, *ops) -> np.ndarray:
+    """np.einsum(spec, *ops) on two or more (rows, ...) operands, with its bits.
+
+    At m = 1 each sum has one term, which einsum adds into zeros: here the
+    product of the operands in their order, on (rows,) arrays, plus zero.
+    """
+    if any(n != 1 for op in ops for n in op.shape[1:]):
+        return np.einsum(spec, *ops)
+    rows = ops[0].shape[0]
+    prod = functools.reduce(np.multiply, [op.reshape(rows) for op in ops])
+    prod += 0.0
+    return prod.reshape((rows,) + (1,) * (len(spec) - spec.index(">") - 2))
 
 
 def _terms_at_node(Yn, Zn, finite, P, Gam, A=None, R_tot=None, B1=None, B2=None, C2=None) -> dict:
-    """Contract the running sums with (Y_n, Z_n) and gamma at one node n.
+    """Contract the running sums with (Y_n, Z_n) and gamma, one row per (node, path).
 
     The sums that _zero_sums left out are identically zero, and so is every
     term they feed: without R_tot, a, b and c are exact zeros; without B1,
     Z_n is zero and its terms are skipped.
     """
-    gamma = np.einsum("bpx,bxy,bqy->bpq", Yn, Gam, Yn)
+    gamma = _contract("bpx,bxy,bqy->bpq", Yn, Gam, Yn)
     cond, singular, gi = _invert_gram(gamma, finite)
-    F = np.einsum("bji,bjk->bik", Yn, gi)
-    ito = np.einsum("bik,bi->bk", F, P)
+    F = _contract("bji,bjk->bik", Yn, gi)
+    ito = _contract("bik,bi->bk", F, P)
     if R_tot is None:
         a, b, c = (np.zeros_like(ito) for _ in range(3))
     else:
         # a_vec, and the kernels K[j, p, q] of the s < t (b) and s >= t (c)
         # parts of D gamma: the R_n terms, then the Z_n terms added.
-        a_vec = -np.einsum("bpr,br->bp", Yn, A)
-        Kb = -np.einsum("bpr,bjre->bjpe", Yn, B2)
-        GR = np.einsum("bjr,bexr->bjex", Gam, R_tot) - C2
-        Kc = -np.einsum("bpx,bqe,bjex->bjpq", Yn, Yn, GR)
+        a_vec = -_contract("bpr,br->bp", Yn, A)
+        Kb = -_contract("bpr,bjre->bjpe", Yn, B2)
+        GR = _contract("bjr,bexr->bjex", Gam, R_tot) - C2
+        Kc = -_contract("bpx,bqe,bjex->bjpq", Yn, Yn, GR)
         if B1 is not None:
-            a_vec += np.einsum("bpxy,bxy->bp", Zn, Gam)
-            Kb += np.einsum("bpxy,bjyxe->bjpe", Zn, B1)
-            GG = np.einsum("bjy,bxe->bjyxe", Gam, Gam) - B1
-            Kc += np.einsum("bpxy,bjyxe,bqe->bjpq", Zn, GG, Yn)
-        a = np.einsum("bp,bpk->bk", a_vec, gi)
-        Kb = np.einsum("bjpe,bqe->bjpq", Kb, Yn)
-        b = np.einsum("bja,bjaq,bqk->bk", F, Kb + np.swapaxes(Kb, -1, -2), gi)
-        c = np.einsum("bja,bjaq,bqk->bk", F, Kc + np.swapaxes(Kc, -1, -2), gi)
+            a_vec += _contract("bpxy,bxy->bp", Zn, Gam)
+            Kb += _contract("bpxy,bjyxe->bjpe", Zn, B1)
+            GG = _contract("bjy,bxe->bjyxe", Gam, Gam) - B1
+            Kc += _contract("bpxy,bjyxe,bqe->bjpq", Zn, GG, Yn)
+        a = _contract("bp,bpk->bk", a_vec, gi)
+        Kb = _contract("bjpe,bqe->bjpq", Kb, Yn)
+        b = _contract("bja,bjaq,bqk->bk", F, Kb + np.swapaxes(Kb, -1, -2), gi)
+        c = _contract("bja,bjaq,bqk->bk", F, Kc + np.swapaxes(Kc, -1, -2), gi)
 
     total = ito - a + b + c
     # On an extreme path a finite gamma can still leave an integral overflowed;

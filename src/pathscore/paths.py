@@ -16,6 +16,8 @@ and keeps both only at the requested nodes. On a model flagged
 ``state_independent_diffusion`` the dsigma terms are skipped. On a
 ``linear`` model (both flags set) Y is deterministic, the same on every
 path, so the loop carries one row of (Y, Z) and inverts it once per step.
+At m = d = 1 any other model runs a flat step on (B,) arrays, in place and
+in the einsum step's association order: the same coefficient calls and bits.
 
 Everything is vectorized over a leading batch-of-paths axis, and a single
 path is a row slice of a batch (TrajectoryBatch.take). Noise is
@@ -167,15 +169,15 @@ def simulate_variation_batch(
     Y, Yinv and Z are shared by every path: they are carried on a batch axis
     of length 1, db is evaluated once at the origin (it cannot depend on x), and
     Yinv_n, V_n and S_n are formed once per step, while P and Gamma still
-    accumulate per path by broadcasting. The kept node arrays have B rows
-    either way. Paths that leave the finite domain or whose Y turns singular
-    are flagged invalid, never raised.
+    accumulate per path by broadcasting. Any other model with m = d = 1 runs
+    _flat_steps, with the bits of the einsum step. The kept node arrays have
+    B rows either way. Paths that leave the finite domain or whose Y turns
+    singular are flagged invalid, never raised.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 3 or inc.shape[1] != grid.steps or inc.shape[2] != model.d:
         raise ValueError(f"increments must have shape (B, {grid.steps}, {model.d})")
-    B = inc.shape[0]
-    m, N, dt = model.m, grid.steps, grid.dt
+    N = grid.steps
     if nodes is None:
         keep = np.arange(N + 1)
     else:
@@ -183,6 +185,15 @@ def simulate_variation_batch(
         keep = np.array(sorted({0, *np.asarray(nodes, dtype=int).ravel().tolist()}))
     if keep.min() < 0 or keep.max() > N:
         raise ValueError(f"nodes must lie in [0, {N}], got {nodes}")
+    steps = _flat_steps if model.m == model.d == 1 and not model.linear else _einsum_steps
+    kept, alive = steps(model, grid, inc, np.asarray(x0, dtype=float), keep)
+    node_fields = {name: kept.pop(name) for name in ("X", "Y", "Yinv", "Z", "finite")}
+    return TrajectoryBatch(model=model, grid=grid, nodes=keep, sums=kept, valid=alive, **node_fields)
+
+
+def _einsum_steps(model: SdeModel, grid: TimeGrid, inc: np.ndarray, x0: np.ndarray, keep):
+    """simulate_variation_batch's loop as einsums: the kept arrays by name, and valid."""
+    B, m, N, dt = inc.shape[0], model.m, grid.steps, grid.dt
     slot = dict(zip(keep.tolist(), range(len(keep))))
     general_sigma = not model.state_independent_diffusion
     # On a linear model Y solves a deterministic ODE, so one row of (Y, Z)
@@ -194,11 +205,13 @@ def simulate_variation_batch(
     origin = np.zeros((1, m))
 
     kept = {}
-    x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (B, m)))
+    x = np.array(np.broadcast_to(x0, (B, m)))
     y = np.array(np.broadcast_to(np.eye(m), (rows, m, m)))
     z = np.zeros((rows, m, m, m))
     alive = np.ones(B, dtype=bool)
     sums = _zero_sums(model, B)
+    # Each step's increments, copied once out of the block, where they are strided.
+    dW = np.empty((B, model.d))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(N + 1):
@@ -217,7 +230,7 @@ def simulate_variation_batch(
                 break
 
             t = n * dt
-            dW = inc[:, n]
+            np.copyto(dW, inc[:, n])
             b = model.b(t, x)
             sig = model.sigma(t, x)
             db = model.db(t, origin if shared else x)
@@ -245,9 +258,93 @@ def simulate_variation_batch(
                     z_next += np.einsum("blijk,bl->bijk", znoise, dW)
                 z = z_next
             x, y = x_next, y_next
+    return kept, alive
 
-    node_fields = {name: kept.pop(name) for name in ("X", "Y", "Yinv", "Z", "finite")}
-    return TrajectoryBatch(model=model, grid=grid, nodes=keep, sums=kept, valid=alive, **node_fields)
+
+def _flat_steps(model: SdeModel, grid: TimeGrid, inc: np.ndarray, x0: np.ndarray, keep):
+    """_einsum_steps at m = d = 1 for a model that is not linear, on (B,) arrays.
+
+    The loop updates (B,) views of the state and the sums in place with
+    ufuncs into buffers made once. It evaluates the same coefficients and
+    keeps the einsum step's association order, so the bits match, each
+    update reading left-node values: x <- (x + b dt) + sigma dW,
+    y <- (y + (db y) dt) + dsY dW with dsY = dsigma y, z <- (z + ((d2b y) y +
+    db z) dt) + ((d2sigma y) y + dsigma z) dW, and the sums of _fold_step
+    from V = yinv sigma, S = dt (V V), R = (yinv z) S - dt (V (yinv dsY)).
+    """
+    B, N, dt = inc.shape[0], grid.steps, grid.dt
+    general_sigma, curved = not model.state_independent_diffusion, not model.affine_coefficients
+    x = np.array(np.broadcast_to(x0, (B, 1)))
+    alive = np.ones(B, dtype=bool)
+    state = dict(X=x, Y=np.ones((B, 1, 1)), Yinv=np.empty((B, 1, 1)), Z=np.zeros((B, 1, 1, 1)))
+    state.update(finite=alive, **_zero_sums(model, B))
+    kept = {name: np.empty((B, len(keep)) + v.shape[1:], v.dtype) for name, v in state.items()}
+    slot = dict(zip(keep.tolist(), range(len(keep))))
+    s = {name: v.reshape(B) for name, v in state.items()}  # views
+    xs, ys, yi, zs = s["X"], s["Y"], s["Yinv"], s["Z"]
+    dW, V, S, R, dsY, u, v, w = (np.empty(B) for _ in range(8))
+    ok = np.empty(B, dtype=bool)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(N + 1):
+            np.divide(1.0, ys, out=yi)
+            for arr in (xs, ys, yi, zs):
+                alive &= np.isfinite(arr, out=ok)
+            if n in slot:
+                for name, value in state.items():
+                    kept[name][:, slot[n]] = value
+            if n == N:
+                break
+
+            t = n * dt
+            np.copyto(dW, inc[:, n, 0])
+            b, sig, db = (f(t, x).reshape(B) for f in (model.b, model.sigma, model.db))
+            if general_sigma:
+                dsig = model.dsigma(t, x).reshape(B)
+                np.multiply(dsig, ys, out=dsY)
+            np.multiply(yi, sig, out=V)
+            np.multiply(V, V, out=S)
+            S *= dt
+            s["P"] += np.multiply(V, dW, out=u)
+            if curved:
+                s["B1"] += np.multiply(S, s["Gam"], out=u)
+            if "R_tot" in s:
+                if curved:
+                    np.multiply(yi, zs, out=R)
+                    R *= S
+                else:
+                    R.fill(0.0)
+                if general_sigma:
+                    np.multiply(yi, dsY, out=u)
+                    u *= V
+                    R -= np.multiply(u, dt, out=u)
+                s["A"] += R
+                s["B2"] += np.multiply(R, s["Gam"], out=u)
+                s["C2"] += np.multiply(S, s["R_tot"], out=u)
+                s["R_tot"] += R
+            s["Gam"] += S
+
+            if curved:
+                if general_sigma:
+                    np.multiply(model.d2sigma(t, x).reshape(B), ys, out=v)
+                    v *= ys
+                    v += np.multiply(dsig, zs, out=w)
+                    v *= dW
+                np.multiply(model.d2b(t, x).reshape(B), ys, out=u)
+                u *= ys
+                u += np.multiply(db, zs, out=w)
+                zs += np.multiply(u, dt, out=u)
+                if general_sigma:
+                    zs += v
+            np.multiply(db, ys, out=u)
+            ys += np.multiply(u, dt, out=u)
+            if general_sigma:
+                ys += np.multiply(dsY, dW, out=u)
+            # b and sigma may be views of x, so both terms are formed first.
+            np.multiply(sig, dW, out=v)
+            xs += np.multiply(b, dt, out=u)
+            xs += v
+    return kept, alive
 
 
 def _inverse(y: np.ndarray) -> np.ndarray:
@@ -295,20 +392,11 @@ def trajectory_csv_header(m: int) -> str:
 
 def write_trajectories_csv(fh, batch: TrajectoryBatch, path_ids=None, header: bool = True) -> None:
     """Dump a trajectory block as CSV, one row per (path, node)."""
-    m = batch.model.m
-    times = batch.grid.nodes()[batch.nodes]
-    if path_ids is None:
-        path_ids = range(batch.n_paths)
     if header:
-        fh.write(trajectory_csv_header(m) + "\n")
-    for b, pid in enumerate(path_ids):
-        for k, (i, t) in enumerate(zip(batch.nodes, times)):
-            vals = [
-                *batch.X[b, k].ravel(),
-                *batch.Y[b, k].ravel(),
-                *batch.Yinv[b, k].ravel(),
-                *batch.Z[b, k].ravel(),
-            ]
-            fh.write(
-                f"{pid},{i},{float(t)!r}," + ",".join(repr(float(v)) for v in vals) + "\n"
-            )
+        fh.write(trajectory_csv_header(batch.model.m) + "\n")
+    fields = (batch.X, batch.Y, batch.Yinv, batch.Z)
+    rows = np.concatenate([f.reshape(f.shape[:2] + (-1,)) for f in fields], axis=2).tolist()
+    times = batch.grid.nodes()[batch.nodes].tolist()
+    for pid, path in zip(range(batch.n_paths) if path_ids is None else path_ids, rows):
+        for i, t, vals in zip(batch.nodes.tolist(), times, path):
+            fh.write(f"{pid},{i},{t!r}," + ",".join(map(repr, vals)) + "\n")

@@ -329,7 +329,9 @@ sampling:
 
     def test_no_usable_path_fails_instead_of_passing_over_none(self, tmp_path, capsys):
         # With no noise every Gram matrix is singular, so the covering and
-        # corollary checks have no path to run on and must not PASS.
+        # corollary checks have no path to run on and must not PASS; the
+        # bump probes compare only zeros, and the duality check has no valid
+        # path. Each FAILs, and both reports are written.
         cfg = _write(
             tmp_path,
             """
@@ -348,9 +350,18 @@ sampling:
         with np.errstate(invalid="ignore", divide="ignore"):
             rc = _run(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
         out = capsys.readouterr().out
-        assert rc != 0
+        assert rc == 1
         assert "FAIL covering-condition: max |<DX_T, u_k> - identity| = nan over 0 paths" in out
         assert "FAIL corollary-equivalence" in out
+        assert "FAIL bump-probes" in out and "every derivative compared is 0" in out
+        assert "FAIL duality: only 0 valid paths" in out
+        report = (tmp_path / "out" / "validation.txt").read_text()
+        assert "FAIL duality" in report and report.endswith("overall: FAIL\n")
+        assert "  overall: FAIL" in (tmp_path / "out" / "summary.txt").read_text()
+        # The duality command alone still refuses to estimate from no path.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            assert _run(["duality", "--config", cfg, "--out", str(tmp_path / "dual")]) == 2
+        assert "only 0 valid paths" in capsys.readouterr().err
 
 
 class TestErrorPaths:

@@ -7,15 +7,23 @@ that they agree to near machine precision, and that on an exactly solvable
 linear model the whole pipeline reduces to a short pure-python recursion.
 """
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from pathscore import malliavin
 from pathscore.estimator import harvest_paths
-from pathscore.malliavin import _invert_gram, compute_bundle_batch, skorokhod_batch
-from pathscore.models import SdeModel, check_derivatives, make_model
+from pathscore.malliavin import (
+    COND_LIMIT,
+    _invert_gram,
+    _terms_at_node,
+    compute_bundle_batch,
+    skorokhod_batch,
+)
+from pathscore.models import SdeModel, _linear, check_derivatives, make_model
 from pathscore.oracles import (
     covering_products,
     dt_first_variation,
@@ -492,3 +500,137 @@ class TestOnePass:
 
             simulate_variation_batch(replace(model, **{coeff: counted}), grid, inc, x0)
             assert calls == [], flag
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _per_node(batch, nodes):
+    """skorokhod_batch as one _terms_at_node call per requested node."""
+    out = {}
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in nodes:
+            k = int(np.searchsorted(batch.nodes, n))
+            sums = {name: s[:, k] for name, s in batch.sums.items()}
+            terms = _terms_at_node(batch.Y[:, k], batch.Z[:, k], batch.finite[:, k], **sums)
+            for key, v in terms.items():
+                out.setdefault(key, []).append(v)
+    return {key: np.stack(v, axis=1) for key, v in out.items()}
+
+
+def _general(name):
+    """A builtin with both flags cleared, so every running sum is kept."""
+    return replace(make_model(name), state_independent_diffusion=False, affine_coefficients=False)
+
+
+class TestBlockedContraction:
+    @pytest.mark.parametrize(
+        "model,x0",
+        [
+            (make_model("state_dependent_tanh"), [0.3]),
+            (make_model("bounded_nonlinear_drift"), [0.5]),
+            (_general("ornstein_uhlenbeck"), [0.3]),
+            (_general("linear_multidim"), [0.3, -0.2]),
+        ],
+        ids=["tanh", "bounded", "ou_cleared", "linear_multidim_cleared"],
+    )
+    def test_blocks_match_a_per_node_loop(self, model, x0, monkeypatch):
+        # With a budget of two nodes per block the seven requested nodes
+        # (unsorted, one repeated) take four blocks, the last one short.
+        grid = TimeGrid(horizon=1.0, steps=32)
+        inc = sample_brownian_block(grid, model.d, 29, 0, 40)
+        inc[5, 10:13] = 1e308
+        batch = simulate_variation_batch(model, grid, inc, x0)
+        nodes = [32, 4, 17, 4, 9, 1, 25]
+        monkeypatch.setattr(malliavin, "_BLOCK", 2 * 40 * model.m**4)
+        calls = []
+        monkeypatch.setattr(
+            malliavin, "_terms_at_node", lambda *a, **k: calls.append(1) or _terms_at_node(*a, **k)
+        )
+        got = skorokhod_batch(batch, nodes)
+        assert len(calls) == 4
+        assert not got["finite"][5, 0]
+        want = _per_node(batch, nodes)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert _same_bits(got[key], want[key]), key
+
+    @pytest.mark.parametrize("name", ["state_dependent_tanh", "linear_multidim"])
+    def test_a_batch_of_no_paths_gives_empty_arrays(self, name):
+        model = make_model(name)
+        grid = TimeGrid(horizon=1.0, steps=8)
+        inc = sample_brownian_block(grid, model.d, 1, 0, 0)
+        out = skorokhod_batch(simulate_variation_batch(model, grid, inc, [0.1] * model.m), [4, 8])
+        for key, v in out.items():
+            assert v.shape == ((0, 2, model.m) if key in TERMS else (0, 2)), key
+
+    def test_scalar_products_have_the_einsum_bits(self, monkeypatch):
+        # At m = 1 every contraction of _terms_at_node is a product per row,
+        # which must equal np.einsum bit for bit: signed zeros, inf and nan
+        # included.
+        grid = TimeGrid(horizon=1.0, steps=16)
+        batch = simulate_variation_batch(
+            _general("bounded_nonlinear_drift"), grid, sample_brownian_block(grid, 1, 3, 0, 64), [0.5]
+        )
+        for i, (name, v) in enumerate(
+            [("A", -0.0), ("B2", -0.0), ("Gam", -0.0), ("R_tot", np.inf), ("C2", np.nan), ("B1", -0.0)]
+        ):
+            batch.sums[name][i::7] = v
+        batch.Z[6::7] = -0.0
+        real, seen = malliavin._contract, set()
+
+        def checked(spec, *ops):
+            got = real(spec, *ops)
+            with np.errstate(all="ignore"):
+                assert _same_bits(got, np.einsum(spec, *ops)), spec
+            seen.add(spec)
+            return got
+
+        monkeypatch.setattr(malliavin, "_contract", checked)
+        skorokhod_batch(batch, list(range(1, 17)))
+        assert len(seen) == 14
+
+    def test_scalar_gram_matches_lapack(self):
+        # The m = 1 route against the eigenvalue and LAPACK route it replaces.
+        gamma = np.array([0.0, 1e-300, 1.0, np.nan, np.inf, 2.5, 3.0]).reshape(-1, 1, 1)
+        usable = np.array([True] * 6 + [False])
+        cond, singular, inv = _invert_gram(gamma, usable)
+        finite = np.isfinite(gamma[:, 0, 0]) & usable
+        lam = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], gamma, 1.0)))[:, 0]
+        want_cond = np.where(finite & (lam > 0), lam / np.where(lam > 0, lam, 1.0), np.inf)
+        want_singular = ~finite | ~np.isfinite(want_cond) | (want_cond >= COND_LIMIT)
+        want_inv = np.linalg.inv(np.where(want_singular[:, None, None], 1.0, gamma))
+        want_inv[want_singular] = np.nan
+        assert singular.tolist() == want_singular.tolist() == [True, False, False, True, True, False, True]
+        assert _same_bits(cond, want_cond)
+        assert _same_bits(inv, want_inv)
+
+    def test_memory_follows_the_block_budget_not_the_node_count(self, monkeypatch):
+        # m = 3 over 64 nodes: one node per block. Contracting every node at
+        # once would hold several (paths, nodes, m^4) arrays.
+        m, paths, nodes = 3, 256, list(range(1, 65))
+        rng = np.random.default_rng(3)
+        A = -np.eye(m) + 0.1 * rng.standard_normal((m, m))
+        Sigma = np.eye(m) + 0.1 * rng.standard_normal((m, m))
+        model = replace(
+            _linear("linear_3d", A, Sigma, {}),
+            state_independent_diffusion=False,
+            affine_coefficients=False,
+        )
+        grid = TimeGrid(horizon=1.0, steps=64)
+        batch = simulate_variation_batch(model, grid, sample_brownian_block(grid, m, 5, 0, paths), [0.0] * m)
+        one_array = paths * len(nodes) * m**4 * 8
+
+        def peak():
+            tracemalloc.start()
+            try:
+                skorokhod_batch(batch, nodes)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() < one_array / 2
+        # The bound tells the two apart: a budget that fits every node fails it.
+        monkeypatch.setattr(malliavin, "_BLOCK", paths * len(nodes) * m**4)
+        assert peak() > one_array

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathscore import paths
 from pathscore.malliavin import compute_bundle_batch, skorokhod_batch
 from pathscore.models import make_model
 from pathscore.paths import (
@@ -287,6 +288,59 @@ class TestVariationProcesses:
         batch = simulate_variation_batch(model, g, inc, x0=[0.5])
         xT = euler_state_batch(model, g, inc, x0=[0.5])
         assert np.array_equal(xT, batch.X[:, -1])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestFlatStep:
+    @pytest.mark.parametrize("nodes", [None, [40, 8, 64, 8, 23]])
+    @pytest.mark.parametrize(
+        "name", ["state_dependent_tanh", "bounded_nonlinear_drift", "ou_flags_cleared", "x_views"]
+    )
+    def test_flat_step_has_the_einsum_bits(self, name, nodes, monkeypatch):
+        # At m = 1 a model that is not linear runs the flat step. The einsum
+        # step, which serves every other model, must give the same bits on
+        # every kept field and running sum, an overflowed path included.
+        # x_views is dX = X dt + X dB with b and sigma returned as views of
+        # the state array, which the flat step updates in place.
+        if name == "ou_flags_cleared":
+            model = replace(
+                make_model("ornstein_uhlenbeck", {"theta": 2.0}),
+                state_independent_diffusion=False,
+                affine_coefficients=False,
+            )
+        elif name == "x_views":
+            one, zero = np.ones((1, 1, 1)), np.zeros((1, 1, 1, 1))
+            model = replace(
+                make_model("state_dependent_tanh"),
+                b=lambda t, x: x,
+                sigma=lambda t, x: x[..., None],
+                db=lambda t, x: np.broadcast_to(one[0], x.shape[:-1] + (1, 1)),
+                dsigma=lambda t, x: np.broadcast_to(one, x.shape[:-1] + (1, 1, 1)),
+                d2b=lambda t, x: np.broadcast_to(zero[0], x.shape[:-1] + (1, 1, 1)),
+                d2sigma=lambda t, x: np.broadcast_to(zero, x.shape[:-1] + (1, 1, 1, 1)),
+            )
+        else:
+            model = make_model(name)
+        grid = TimeGrid(horizon=1.0, steps=64)
+        inc = sample_brownian_block(grid, 1, seed=4, first_path=0, n_paths=50)
+        inc[7, 20:22] = 1e308
+        x0 = np.array([0.4])
+        keep = np.arange(65) if nodes is None else np.array([0, 8, 23, 40, 64])
+        want, want_valid = paths._einsum_steps(model, grid, inc, x0, keep)
+        # The flat step alone serves this model.
+        monkeypatch.setattr(paths, "_einsum_steps", None)
+        batch = simulate_variation_batch(model, grid, inc, x0, nodes=nodes)
+        assert batch.nodes.tolist() == keep.tolist()
+        assert np.flatnonzero(~batch.valid).tolist() == [7]
+        assert _same_bits(batch.valid, want_valid)
+        for field in ("X", "Y", "Yinv", "Z", "finite"):
+            assert _same_bits(getattr(batch, field), want.pop(field)), field
+        assert batch.sums.keys() == want.keys()
+        for name, s in batch.sums.items():
+            assert _same_bits(s, want[name]), name
 
 
 class TestTrajectoryCsv:
