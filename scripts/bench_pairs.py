@@ -4,22 +4,28 @@
         --what "..." --claim "..."
 
 The parent side is the committed tree of COMMIT, exported with ``git
-archive`` into a temporary directory; the change side is the checkout this
-script lives in, as it stands. For every workload in BENCHMARK.json, in its
-order, the script runs PAIRS untraced pairs of ``perfbench/run.py`` (seed
-SEED, SECONDS each), the parent first on even pairs and the change first on
-odd ones, then one traced pair. Every run is a separate process started
-in its side's directory. The result file holds the command, the host, the
-claim, the per-side medians of the untraced end-to-end metrics and every
-run's result line; a short table of medians and pairs won goes to stderr.
+archive``; the change side is a copy of the checkout this script lives in,
+as it stands. Each tree lies in its own mkdtemp(prefix="bench_pairs_")
+directory, so both paths have the same length and a metric that echoes a
+path, such as cli.artifact_bytes, compares like with like. For every
+workload in BENCHMARK.json, in its order, the script runs PAIRS untraced
+pairs of ``perfbench/run.py`` (seed SEED, SECONDS each), the parent first on
+even pairs and the change first on odd ones, then one traced pair. Every run
+is a separate process started in its side's tree. The result file holds the
+command, the host, the claim, the per-side medians of the untraced
+end-to-end metrics and every run's result line; a short table of medians
+and pairs won goes to stderr, with a metric marked "unresolved" when the
+parent's spread is wider than its bound and the change does not beat every
+parent run.
 
-Nothing here imports the benchmark: it only starts perfbench/run.py, whose
-own work/ and traces/ directories are git-ignored.
+Nothing here imports the benchmark: it only starts perfbench/run.py in the
+two temporary trees, which are removed at the end.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -41,16 +47,45 @@ MOVED = 0.10
 MOVED_S = 1e-3
 
 
-def export_commit(commit: str, dest: str) -> str:
-    """Write the committed files of ``commit`` under dest; returns its full hash."""
-    rev = ["git", "-C", ROOT, "rev-parse", "--verify", f"{commit}^{{commit}}"]
+def export_commit(commit: str, tree: str, root: str = ROOT) -> str:
+    """Write the committed files of ``commit`` under ``tree``; returns its full hash."""
+    rev = ["git", "-C", root, "rev-parse", "--verify", f"{commit}^{{commit}}"]
     full = subprocess.run(rev, check=True, capture_output=True, text=True).stdout.strip()
-    archive = os.path.join(dest, "tree.tar")
-    subprocess.run(["git", "-C", ROOT, "archive", "-o", archive, full], check=True)
+    archive = tree + ".tar"
+    subprocess.run(["git", "-C", root, "archive", "-o", archive, full], check=True)
     with tarfile.open(archive) as tar:
-        tar.extractall(os.path.join(dest, "tree"), filter="data")
+        tar.extractall(tree, filter="data")
     os.remove(archive)
     return full
+
+
+def copy_checkout(tree: str, root: str = ROOT) -> None:
+    """Copy the checkout's tracked and not ignored files, as they stand, under ``tree``."""
+    ls = ["git", "-C", root, "ls-files", "-z", "--cached", "--others", "--exclude-standard"]
+    listed = subprocess.run(ls, check=True, capture_output=True, text=True).stdout
+    for rel in filter(None, listed.split("\0")):
+        src = os.path.join(root, rel)
+        # A tracked file deleted in the checkout is still listed.
+        if os.path.lexists(src):
+            os.makedirs(os.path.dirname(os.path.join(tree, rel)), exist_ok=True)
+            shutil.copy2(src, os.path.join(tree, rel), follow_symlinks=False)
+
+
+@contextlib.contextmanager
+def side_trees(commit: str, root: str = ROOT):
+    """Yield the parent's full hash and each side's tree, removed on exit.
+
+    Each tree is ``tree`` in its own mkdtemp(prefix="bench_pairs_") directory.
+    """
+    dirs = {s: tempfile.mkdtemp(prefix="bench_pairs_") for s in SIDES}
+    try:
+        trees = {s: os.path.join(d, "tree") for s, d in dirs.items()}
+        parent = export_commit(commit, trees["parent"], root)
+        copy_checkout(trees["change"], root)
+        yield parent, trees
+    finally:
+        for d in dirs.values():
+            shutil.rmtree(d, ignore_errors=True)
 
 
 def run_once(cwd: str, workload: str, trace: int) -> dict:
@@ -78,6 +113,8 @@ def medians(runs: list[dict], metrics: list[str]) -> dict:
 def report(workload: str, runs: list[dict], end_to_end: list[dict]) -> None:
     """Medians, parent IQR and pairs won per end-to-end metric, to stderr.
 
+    A metric is "unresolved" when the parent's IQR exceeds its bound times
+    the parent's median and not every change run beats every parent run.
     Then the traced pair's per-layer values, parent -> change, of the layers
     that moved by at least MOVED of the parent's value (and by at least
     MOVED_S for a time), so stage numbers come from the same run as the claim.
@@ -89,10 +126,14 @@ def report(workload: str, runs: list[dict], end_to_end: list[dict]) -> None:
         sign = 1.0 if spec["better"] == "lower" else -1.0
         wins = sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"]))
         q = statistics.quantiles(vals["parent"], n=4) if len(vals["parent"]) > 1 else [0, 0, 0]
+        median = statistics.median(vals["parent"])
+        beats_all = max(sign * c for c in vals["change"]) < min(sign * p for p in vals["parent"])
+        unresolved = q[2] - q[0] > spec["bound"] * abs(median) and not beats_all
         print(
-            f"{workload:24s} {name:18s} parent {statistics.median(vals['parent']):.6g} "
+            f"{workload:24s} {name:18s} parent {median:.6g} "
             f"change {statistics.median(vals['change']):.6g} "
-            f"won {wins}/{len(vals['change'])} parent IQR {q[2] - q[0]:.3g}",
+            f"won {wins}/{len(vals['change'])} parent IQR {q[2] - q[0]:.3g}"
+            + (" unresolved" if unresolved else ""),
             file=sys.stderr,
         )
     traced = {r["side"]: r["result"]["metrics"] for r in runs if r["trace"]}
@@ -126,10 +167,7 @@ def main(argv=None) -> int:
         f"Python {platform.python_version()}; parent and change alternate, first side "
         f"swapped each pair; {PAIRS} untraced pairs and one traced pair per workload"
     )
-    scratch = tempfile.mkdtemp(prefix="bench_pairs_")
-    try:
-        parent = export_commit(args.parent, scratch)
-        cwd = {"parent": os.path.join(scratch, "tree"), "change": ROOT}
+    with side_trees(args.parent) as (parent, cwd):
         runs, summary = [], {}
         for w in workloads:
             mine = []
@@ -145,8 +183,6 @@ def main(argv=None) -> int:
                 for s in SIDES
             }
             report(w, mine, bench["end_to_end"])
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
 
     out = {
         "what": args.what,

@@ -315,7 +315,7 @@ def _validate_checks(cfg: RunConfig, workers: int):
     probes = []
     for _ in range(BUMP_PROBES):
         p = int(rng.integers(0, 1 << 30))
-        i = int(rng.integers(0, grid.steps - 1))
+        i = int(rng.integers(0, grid.steps))
         l = int(rng.integers(0, model.d))
         w = sample_brownian_block(grid, model.d, cfg.seed + 1, p, 1)[0]
         probes.append((w, i, l))

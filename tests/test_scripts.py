@@ -65,7 +65,10 @@ def test_bench_pairs_report_counts_wins_and_lists_moved_layers(capsys):
     change = dict(sim_s=(0.05, "s"), tiny_s=(0.0001, "s"), calls=(12.0, "count"), same_s=(0.21, "s"))
     parent["zero"] = change["zero"] = (0.0, "count")
     runs += [_run("parent", 1, **parent), _run("change", 1, **change)]
-    end_to_end = [{"name": "wall_s", "better": "lower"}, {"name": "rate", "better": "higher"}]
+    end_to_end = [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "rate", "better": "higher", "bound": 0.25},
+    ]
     _bench_pairs().report("w", runs, end_to_end)
     lines = capsys.readouterr().err.splitlines()
     wall, rate = (next(l for l in lines if f" {name} " in l) for name in ("wall_s", "rate"))
@@ -75,3 +78,50 @@ def test_bench_pairs_report_counts_wins_and_lists_moved_layers(capsys):
     # 5%, and zero not at all.
     traced = [l.split()[1:] for l in lines if " traced " in l]
     assert traced == [["sim_s", "traced", "0.1", "->", "0.05"], ["calls", "traced", "10", "->", "12"]]
+
+
+def _e2e_lines(parent, change, better):
+    runs = [_run("parent", 0, m=(v, "s")) for v in parent]
+    runs += [_run("change", 0, m=(v, "s")) for v in change]
+    return [{"name": "m", "better": better, "bound": 0.25}], runs
+
+
+def test_bench_pairs_report_marks_unresolved_metrics(capsys):
+    # Parent runs 8, 10, 12, 14 (median 11, IQR 5 > 0.25 * 11): unresolved,
+    # unless every change run beats every parent run.
+    parent = [8.0, 10.0, 12.0, 14.0]
+    cases = [
+        (parent, [7.0, 7.5, 9.0, 7.0], "lower", True),
+        (parent, [7.0, 7.5, 6.0, 7.0], "lower", False),
+        (parent, [15.0, 16.0, 15.0, 20.0], "higher", False),
+        (parent, [15.0, 16.0, 13.0, 20.0], "higher", True),
+        # IQR 0.5 within 0.25 * 11.1: resolved whatever the change reads.
+        ([10.8, 11.0, 11.2, 11.4], [10.0, 12.0, 10.5, 11.5], "lower", False),
+    ]
+    for p, c, better, want in cases:
+        end_to_end, runs = _e2e_lines(p, c, better)
+        _bench_pairs().report("w", runs, end_to_end)
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith(" unresolved") == want, (p, c, better)
+
+
+def test_bench_pairs_runs_each_side_from_an_equal_length_copy(tmp_path):
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    (tmp_path / "a.txt").write_text("committed\n")
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "a.txt"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "one"], check=True)
+    (tmp_path / "a.txt").write_text("edited\n")
+    (tmp_path / "new.txt").write_text("untracked\n")
+    with _bench_pairs().side_trees("HEAD", root=str(tmp_path)) as (full, trees):
+        assert len(full) == 40
+        assert len(trees["parent"]) == len(trees["change"])
+        assert os.path.dirname(trees["parent"]) != os.path.dirname(trees["change"])
+        assert os.path.basename(os.path.dirname(trees["change"])).startswith("bench_pairs_")
+        parent, change = Path(trees["parent"]), Path(trees["change"])
+        assert sorted(p.name for p in parent.iterdir()) == ["a.txt"]
+        assert (parent / "a.txt").read_text() == "committed\n"
+        assert (change / "a.txt").read_text() == "edited\n"
+        assert (change / "new.txt").read_text() == "untracked\n"
+        assert not (change / ".git").exists()
+    assert not parent.exists() and not change.exists()
