@@ -1,6 +1,10 @@
 """Run the full validation suite (derivative checks, covering condition,
 reduced-form equivalence, bump probes, duality) on every builtin model.
 
+Each model's validate run prints its PASS/FAIL lines; its files
+(validation.txt, summary.txt and the duality matrix in duality.csv) go to a
+temporary directory that is removed afterwards.
+
 Usage: python scripts/validate_builtins.py [--paths 10000] [--workers 1]
 """
 

@@ -1,8 +1,9 @@
 """Config-driven command surface.
 
-Commands: score, validate, reverse, simulate, duality. Each takes
+Commands: score, validate, reverse, simulate. Each takes
 --config <file>, --out <dir>, --workers <n>. Exit codes: 0 success,
-1 validation failure, 2 config error. Output files are pure functions of
+1 validation failure, 2 config error. validate also writes the duality
+matrix it checks to duality.csv. Output files are pure functions of
 (config, seed): timings go to stderr, never into artifacts. They are logged
 at INFO on the "pathscore" logger, which main() routes to stderr; a score
 run reports one harvest time and one regression time per node.
@@ -46,7 +47,6 @@ from .oracles import (
 )
 from .paths import TimeGrid, sample_brownian_block, simulate_variation_batch, write_trajectories_csv
 
-BREAKDOWN_HEADER = "path,k,ito,A,B,C,total,gamma_cond"
 # Bump probes in validate, each one re-simulated path.
 BUMP_PROBES = 20
 
@@ -116,9 +116,8 @@ def cmd_score(cfg: RunConfig, out_dir: str, workers: int) -> int:
         for j, node in enumerate(nodes):
             t = grid.dt * node
             fname = f"score_n{node:04d}.csv"
-            # A repeated node's files are written at its first entry only.
-            first = node not in nodes[:j]
-            if first:
+            # A repeated node's file is written at its first entry only.
+            if node not in nodes[:j]:
                 with open(os.path.join(out_dir, fname), "w") as fh:
                     write_score_csv(fh, table, j)
             summary.write(
@@ -146,23 +145,7 @@ def cmd_score(cfg: RunConfig, out_dir: str, workers: int) -> int:
                 summary.write(
                     f"    beyond 3 SE: {int(beyond.sum())} of {int(finite.sum())} finite entries\n"
                 )
-            if cfg.dump_breakdown:
-                bname = f"breakdown_n{node:04d}.csv"
-                if first:
-                    _write_breakdown(os.path.join(out_dir, bname), harvest, j)
-                summary.write(f"  breakdown dump: {bname}\n")
     return 0
-
-
-def _write_breakdown(path: str, harvest, j: int) -> None:
-    """Per-path integral breakdown at node j of a harvest, valid paths only."""
-    terms = np.stack([getattr(harvest, k)[:, j] for k in ("ito", "a", "b", "c", "total")], axis=-1)
-    with open(path, "w") as fh:
-        fh.write(BREAKDOWN_HEADER + "\n")
-        for p in np.flatnonzero(harvest.valid[:, j]).tolist():
-            cond = float(harvest.cond[p, j])
-            for k, vals in enumerate(terms[p].tolist()):
-                fh.write(f"{p},{k + 1}," + ",".join(map(repr, vals)) + f",{cond!r}\n")
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, workers: int) -> int:
@@ -195,30 +178,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, workers: int) -> int:
         )
         if cfg.dump_paths > 0:
             summary.write(f"  trajectory dump: trajectories.csv ({dumped} paths)\n")
-    return 0
-
-
-def cmd_duality(cfg: RunConfig, out_dir: str, workers: int) -> int:
-    model, grid, x0 = _build(cfg)
-    t0 = time.perf_counter()
-    rep = duality_report(model, grid, x0, cfg.n_paths, cfg.seed, workers=workers)
-    _timing("duality", t0)
-    with open(os.path.join(out_dir, "duality.csv"), "w") as fh:
-        fh.write("i,k,estimate,stderr\n")
-        for i in range(model.m):
-            for k in range(model.m):
-                fh.write(
-                    f"{i + 1},{k + 1},{float(rep.matrix[i, k])!r},{float(rep.stderr[i, k])!r}\n"
-                )
-    with _summary_open(out_dir, "duality", cfg) as summary:
-        summary.write(
-            f"  paths {rep.n_paths}, excluded {rep.excluded}, mode "
-            f"{'state_independent' if model.state_independent_diffusion else 'general'}\n"
-        )
-        summary.write(
-            f"  max |estimate - identity| in standard errors: {rep.max_z!r} "
-            f"({'within' if rep.ok else 'OUTSIDE'} 3 SE)\n"
-        )
     return 0
 
 
@@ -269,8 +228,12 @@ def cmd_reverse(cfg: RunConfig, out_dir: str, workers: int) -> int:
     return 0
 
 
-def _validate_checks(cfg: RunConfig, workers: int):
-    """Run the oracle suite on the configured model; yields (name, ok, detail)."""
+def _validate_checks(cfg: RunConfig, out_dir: str, workers: int):
+    """Run the oracle suite on the configured model; yields (name, ok, detail).
+
+    The duality matrix and its SEs go to duality.csv, unless too few paths
+    are valid for an estimate.
+    """
     model, grid, x0 = _build(cfg)
     rng = np.random.default_rng(cfg.seed)
 
@@ -353,6 +316,10 @@ def _validate_checks(cfg: RunConfig, workers: int):
         yield ("duality", False, f"{e} ({cfg.n_paths} paths)")
         return
     _timing("validate duality", t0)
+    with open(os.path.join(out_dir, "duality.csv"), "w") as fh:
+        fh.write("i,k,estimate,stderr\n")
+        for (i, k), est in np.ndenumerate(dual.matrix):
+            fh.write(f"{i + 1},{k + 1},{float(est)!r},{float(dual.stderr[i, k])!r}\n")
     yield (
         "duality",
         dual.ok,
@@ -364,7 +331,7 @@ def _validate_checks(cfg: RunConfig, workers: int):
 def cmd_validate(cfg: RunConfig, out_dir: str, workers: int) -> int:
     lines = []
     all_ok = True
-    for name, ok, detail in _validate_checks(cfg, workers):
+    for name, ok, detail in _validate_checks(cfg, out_dir, workers):
         status = "PASS" if ok else "FAIL"
         line = f"{status} {name}: {detail}"
         print(line)
@@ -385,7 +352,6 @@ COMMANDS = {
     "validate": cmd_validate,
     "reverse": cmd_reverse,
     "simulate": cmd_simulate,
-    "duality": cmd_duality,
 }
 
 

@@ -42,17 +42,10 @@ def _float(val, where: str) -> float:
         raise ConfigError(f"{where}: expected float, got {val!r}") from None
 
 
-def _of_type(kind):
-    def parse(val, where: str):
-        if not isinstance(val, kind):
-            raise ConfigError(f"{where}: expected {kind.__name__}, got {val!r}")
-        return val
-
-    return parse
-
-
-_str = _of_type(str)
-_bool = _of_type(bool)
+def _str(val, where: str) -> str:
+    if not isinstance(val, str):
+        raise ConfigError(f"{where}: expected str, got {val!r}")
+    return val
 
 
 def _mapping(val, where: str) -> dict:
@@ -100,6 +93,10 @@ def _at_least(lo: int):
     return _require(_int, lambda n: n >= lo, f"must be at least {lo}")
 
 
+# Noise streams key on the seed as a uint64, and validate's bump probes on seed + 1.
+_seed = _require(_int, lambda n: 0 <= n <= 2**64 - 2, "must lie in [0, 2**64 - 2]")
+
+
 def _optional(parse):
     return lambda val, where: None if val is None else parse(val, where)
 
@@ -139,7 +136,7 @@ class RunConfig:
     steps: int = _key("grid", "steps", _at_least(2))
     x0: tuple = _key("sampling", "x0", _floats)
     n_paths: int = _key("sampling", "n_paths", _positive(_int))
-    seed: int = _key("sampling", "seed", _int)
+    seed: int = _key("sampling", "seed", _seed)
     t_eval: tuple = _key("score", "t_eval", _floats, default=())
     y_min: tuple = _key("score", "y_min", _floats, default=())
     y_max: tuple = _key("score", "y_max", _floats, default=())
@@ -152,7 +149,6 @@ class RunConfig:
     dump_paths: int = _key(
         "output", "dump_paths", _require(_int, lambda n: n >= 0, "must be non-negative"), default=0
     )
-    dump_breakdown: bool = _key("output", "dump_breakdown", _bool, default=False)
     reverse_provider: str = _key("reverse", "provider", _provider, default="analytic")
     reverse_samples: int = _key("reverse", "n_samples", _positive(_int), default=10_000)
     reverse_tables_dir: str | None = _key("reverse", "tables_dir", _optional(_str), default=None)
@@ -167,6 +163,9 @@ class RunConfig:
                 raise ConfigError(f"score.y_count[{j}]: must be positive, got {n}")
             if lo > hi:
                 raise ConfigError(f"score.y_min[{j}]: {lo} exceeds y_max {hi}")
+        if self.knn is not None and self.bandwidth != "auto":
+            # k-NN windows take no bandwidth; a number here would be ignored.
+            raise ConfigError(f"score.bandwidth: must be 'auto' with score.knn, got {self.bandwidth}")
         if self.reverse_provider == "tables" and not self.reverse_tables_dir:
             raise ConfigError("reverse.tables_dir: required when provider is 'tables'")
 

@@ -58,22 +58,18 @@ def chunk_size(m: int) -> int:
 
 @dataclass
 class PathHarvest:
-    """Raw per-path quantities at each requested node.
+    """What the regression reads of each path at each requested node.
 
-    Axis 0 runs over paths (chunks merged in index order), axis 1 over the
+    Axis 0 runs over paths (chunks in index order), axis 1 over the
     requested nodes. The exclusion causes are per-path masks: ``finite`` is
     False once a path has left the finite domain by the node, and
     ``singular`` marks finite paths whose gamma is near-singular there (or
-    whose integrals overflowed).
+    whose integrals overflowed). The per-term split of ``total`` is
+    skorokhod_batch's.
     """
 
     X_t: np.ndarray  # (n, K, m) state at each node
-    ito: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
     total: np.ndarray  # (n, K, m) anticipating integrals per direction
-    cond: np.ndarray  # (n, K)
     finite: np.ndarray  # (n, K)
     singular: np.ndarray  # (n, K)
 
@@ -103,7 +99,8 @@ def _harvest_chunk(model, grid, x0, seed, nodes, lo, hi) -> PathHarvest:
     batch = simulate_variation_batch(model, grid, inc, x0, nodes=nodes)
     del inc
     X_t = batch.X[:, np.searchsorted(batch.nodes, nodes)]
-    return PathHarvest(X_t=X_t, **skorokhod_batch(batch, nodes))
+    terms = skorokhod_batch(batch, nodes)
+    return PathHarvest(X_t, terms["total"], terms["finite"], terms["singular"])
 
 
 # (model, grid, x0, seed, nodes) of the harvest that forked the worker pool.
@@ -123,7 +120,7 @@ def harvest_paths(
     workers: int = 1,
     nodes=None,
 ) -> PathHarvest:
-    """Simulate n_paths once and collect states plus integral breakdowns at each node.
+    """Simulate n_paths once and collect states, integrals and masks at each node.
 
     ``nodes`` are grid indices in [1, steps], in any order (default: the
     last node); the harvest's node axis follows that order. The paths run
@@ -132,8 +129,9 @@ def harvest_paths(
     at n.
 
     Chunk boundaries depend only on (n_paths, model dimension); with
-    workers > 1 the same chunks run in forked processes and are merged in
-    index order, so the result is bit-identical to the serial run.
+    workers > 1 the same chunks run in forked processes. Each chunk is
+    written into its rows of arrays allocated once, so the result is
+    bit-identical to the serial run.
     """
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
@@ -143,6 +141,19 @@ def harvest_paths(
     ch = chunk_size(model.m)
     chunks = [(lo, min(n_paths, lo + ch)) for lo in range(0, n_paths, ch)]
     state = (model, grid.truncated(max(nodes)), np.asarray(x0, dtype=float), seed, nodes)
+    shape = (n_paths, len(nodes))
+    out = PathHarvest(
+        X_t=np.empty(shape + (model.m,)),
+        total=np.empty(shape + (model.m,)),
+        finite=np.empty(shape, bool),
+        singular=np.empty(shape, bool),
+    )
+
+    def fill(parts):
+        for (lo, hi), part in zip(chunks, parts):
+            for f in fields(PathHarvest):
+                getattr(out, f.name)[lo:hi] = getattr(part, f.name)
+
     global _FORK_STATE
     if workers > 1 and len(chunks) > 1:
         import multiprocessing
@@ -151,14 +162,12 @@ def harvest_paths(
         try:
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(processes=min(workers, len(chunks))) as pool:
-                results = pool.map(_run_fork_chunk, chunks)
+                fill(pool.imap(_run_fork_chunk, chunks))
         finally:
             _FORK_STATE = None
     else:
-        results = [_harvest_chunk(*state, lo, hi) for lo, hi in chunks]
-    return PathHarvest(
-        **{f.name: np.concatenate([getattr(r, f.name) for r in results]) for f in fields(PathHarvest)}
-    )
+        fill(_harvest_chunk(*state, lo, hi) for lo, hi in chunks)
+    return out
 
 
 def silverman_bandwidth(X: np.ndarray) -> np.ndarray:

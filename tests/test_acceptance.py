@@ -325,36 +325,39 @@ def test_a9_determinism(announce, tmp_path):
         "sampling:\n  x0: [0.0]\n  n_paths: 5000\n  seed: 13\n"
         "output:\n  dump_paths: 2\n"
     )
+    # The score config's 6000 paths are two chunks, so validate's duality
+    # harvest forks at --workers 3; the validate config's 1000 are one.
+    validated = ("validation.txt", "duality.csv")
     runs = [
-        ("score", score_cfg, "1", "score_n0064.csv"),
-        ("score", score_cfg, "2", "score_n0064.csv"),
-        ("score", score_cfg, "4", "score_n0064.csv"),
-        ("score", score_cfg, "1", "score_n0064.csv"),
-        ("duality", score_cfg, "1", "duality.csv"),
-        ("duality", score_cfg, "3", "duality.csv"),
-        ("validate", validate_cfg, "1", "validation.txt"),
-        ("validate", validate_cfg, "2", "validation.txt"),
-        ("reverse", reverse_cfg, "1", "reverse_samples.csv"),
-        ("reverse", reverse_cfg, "2", "reverse_samples.csv"),
-        ("simulate", simulate_cfg, "1", "trajectories.csv"),
-        ("simulate", simulate_cfg, "2", "trajectories.csv"),
+        ("score", score_cfg, "1", ("score_n0064.csv",)),
+        ("score", score_cfg, "2", ("score_n0064.csv",)),
+        ("score", score_cfg, "4", ("score_n0064.csv",)),
+        ("score", score_cfg, "1", ("score_n0064.csv",)),
+        ("validate", score_cfg, "1", validated),
+        ("validate", score_cfg, "3", validated),
+        ("validate", validate_cfg, "1", validated),
+        ("validate", validate_cfg, "2", validated),
+        ("reverse", reverse_cfg, "1", ("reverse_samples.csv",)),
+        ("reverse", reverse_cfg, "2", ("reverse_samples.csv",)),
+        ("simulate", simulate_cfg, "1", ("trajectories.csv",)),
+        ("simulate", simulate_cfg, "2", ("trajectories.csv",)),
     ]
     blobs = {}
-    for idx, (command, cfg, workers, artifact) in enumerate(runs):
+    for idx, (command, cfg, workers, artifacts) in enumerate(runs):
         out = tmp_path / f"run{idx}"
         rc = cli_main(
             [command, "--config", str(cfg), "--out", str(out), "--workers", workers]
         )
         assert rc == 0, (command, workers)
-        payload = (out / artifact).read_bytes() + (out / "summary.txt").read_bytes()
-        blobs.setdefault(command, []).append(payload)
-    mismatched = [cmd for cmd, blob in blobs.items() if len(set(blob)) != 1]
+        payload = b"".join((out / name).read_bytes() for name in artifacts + ("summary.txt",))
+        blobs.setdefault(f"{command} {cfg.stem}", []).append(payload)
+    mismatched = [run for run, blob in blobs.items() if len(set(blob)) != 1]
     ok = not mismatched
     announce(
         "A9 determinism",
         ok,
         "byte-identical artifacts across reruns and worker counts "
-        "(score x4, duality x2, validate x2, reverse x2, simulate x2)"
+        "(score x4, validate x2 forked, validate x2, reverse x2, simulate x2)"
         + (f"; mismatched: {mismatched}" if mismatched else ""),
     )
     assert not mismatched, mismatched

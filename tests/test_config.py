@@ -36,7 +36,6 @@ class TestParse:
         assert cfg.out_dir == "out" and cfg.dump_paths == 0
         assert cfg.reverse_provider == "analytic" and cfg.reverse_samples == 10_000
         assert cfg.reverse_tables_dir is None
-        assert not cfg.dump_breakdown
 
     def test_full_round_trip(self):
         raw = _minimal(
@@ -48,16 +47,25 @@ class TestParse:
                 "y_count": [11],
                 "bandwidth": 0.3,
             },
-            output={"directory": "run1", "dump_paths": 2, "dump_breakdown": True},
+            output={"directory": "run1", "dump_paths": 2},
             reverse={"provider": "tables", "n_samples": 500, "tables_dir": "tabs"},
         )
         cfg = parse_config(raw)
         assert cfg.model_params == {"alpha": 0.25}
         assert cfg.t_eval == (0.5, 1.0)
         assert cfg.bandwidth == 0.3
-        assert cfg.out_dir == "run1" and cfg.dump_paths == 2 and cfg.dump_breakdown
+        assert cfg.out_dir == "run1" and cfg.dump_paths == 2
         assert cfg.reverse_provider == "tables"
         assert cfg.reverse_samples == 500 and cfg.reverse_tables_dir == "tabs"
+
+    def test_seed_range_ends_and_knn_beside_auto_bandwidth_accepted(self):
+        # validate draws its bump probes from stream seed + 1, which the
+        # largest accepted seed still keys.
+        for seed in (0, 2**64 - 2):
+            raw = _minimal(sampling={"x0": [0.0], "n_paths": 100, "seed": seed})
+            assert parse_config(raw).seed == seed
+        cfg = parse_config(_minimal(score={"bandwidth": "auto", "knn": 50}))
+        assert cfg.knn == 50 and cfg.bandwidth == "auto"
 
     def test_scalar_x0_promoted_to_tuple(self):
         cfg = parse_config(_minimal(sampling={"x0": 0.5, "n_paths": 100, "seed": 1}))
@@ -80,6 +88,8 @@ class TestParse:
         (lambda r: r["sampling"].__setitem__("n_paths", 0), "sampling.n_paths: must be positive"),
         (lambda r: r["sampling"].__setitem__("seed", "x"), "sampling.seed: expected int"),
         (lambda r: r["sampling"].__setitem__("seed", True), "sampling.seed: expected int"),
+        (lambda r: r["sampling"].__setitem__("seed", -1), "sampling.seed: must lie in"),
+        (lambda r: r["sampling"].__setitem__("seed", 2**64 - 1), "sampling.seed: must lie in"),
         (
             lambda r: r.__setitem__("score", {"y_min": [-1], "y_max": [1], "y_count": [5, 5]}),
             "equal length",
@@ -100,8 +110,11 @@ class TestParse:
         (lambda r: r["sampling"].__setitem__("n_path", 500), "sampling.n_path: unknown key"),
         (lambda r: r.__setitem__("reverse", {"tables-dir": "t"}), "reverse.tables-dir: unknown"),
         (lambda r: r.__setitem__("score", {"knn": 2}), "score.knn: must be at least 5"),
+        (
+            lambda r: r.__setitem__("score", {"bandwidth": 0.05, "knn": 50}),
+            "score.bandwidth: must be 'auto' with score.knn",
+        ),
         (lambda r: r.__setitem__("output", {"dump_paths": -1}), "output.dump_paths"),
-        (lambda r: r.__setitem__("output", {"dump_breakdown": 1}), "output.dump_breakdown"),
         (lambda r: r.__setitem__("reverse", {"provider": "magic"}), "reverse.provider"),
         (lambda r: r.__setitem__("reverse", {"tables_dir": 3}), "reverse.tables_dir"),
         (lambda r: r.__setitem__("grid", [1, 2]), "grid: expected a mapping"),

@@ -35,8 +35,9 @@ from pathscore.estimator import (
     silverman_bandwidth,
     write_score_csv,
 )
+from pathscore.malliavin import skorokhod_batch
 from pathscore.models import _linear, make_model
-from pathscore.paths import TimeGrid
+from pathscore.paths import TimeGrid, sample_brownian_block, simulate_variation_batch
 
 OU_SCORE_AT_HALF = -1.1565176427496657  # -(0.5 - 0) / ((1 - e^{-2}) / 2)
 
@@ -210,13 +211,18 @@ class TestHarvest:
             npt.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
 
     def test_breakdown_identity_and_linear_shortcut(self):
+        # The harvest keeps skorokhod_batch's total of the same paths; its
+        # terms recombine to it, and on a linear model the corrections vanish.
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=32)
         h = harvest_paths(model, grid, [0.0], 500, seed=4)
         assert h.total.shape == (500, 1, 1)
         assert np.all(h.valid)
-        npt.assert_array_equal(h.total, h.ito - h.a + h.b + h.c)
-        assert np.all(h.a == 0.0) and np.all(h.b == 0.0) and np.all(h.c == 0.0)
+        inc = sample_brownian_block(grid, model.d, 4, 0, 500)
+        terms = skorokhod_batch(simulate_variation_batch(model, grid, inc, [0.0]))
+        npt.assert_array_equal(h.total, terms["total"])
+        npt.assert_array_equal(h.total, terms["ito"] - terms["a"] + terms["b"] + terms["c"])
+        assert all(np.all(terms[key] == 0.0) for key in ("a", "b", "c"))
 
     def test_ou_slope_of_delta_is_near_the_continuous_score(self):
         # E[delta | X_T] is linear for OU, with slope 1/v for the continuous
@@ -249,6 +255,20 @@ class TestHarvest:
         finally:
             tracemalloc.stop()
         assert peak < 2 * noise, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_harvest_is_filled_in_place(self):
+        # Chunks are written into arrays allocated once, so the peak is the
+        # held harvest plus one chunk's work, not twice the harvest.
+        model = make_model("bounded_nonlinear_drift")
+        grid = TimeGrid(horizon=1.0, steps=32)
+        tracemalloc.start()
+        try:
+            h = harvest_paths(model, grid, [0.5], 32_768, seed=5, nodes=range(1, 33))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(getattr(h, f.name).nbytes for f in fields(PathHarvest))
+        assert peak < held + 32 * 2**20, f"peak {peak / 2**20:.1f} MiB, held {held / 2**20:.1f} MiB"
 
     def test_chunk_size_depends_only_on_dimension(self):
         assert chunk_size(1) == 4096

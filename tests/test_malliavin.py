@@ -8,7 +8,7 @@ linear model the whole pipeline reduces to a short pure-python recursion.
 """
 
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -411,9 +411,18 @@ class TestOnePass:
         )()
         grid = TimeGrid(horizon=2.0 if name == "explosive" else 1.0, steps=32)
         nodes = [8, 16, 24, 32]
+
+        def terms(g, nodes=None):
+            # The batch a 600-path harvest on grid g runs as its one chunk.
+            inc = sample_brownian_block(g, model.d, 21, 0, 600)
+            return skorokhod_batch(simulate_variation_batch(model, g, inc, x0, nodes=nodes), nodes)
+
         one = harvest_paths(model, grid, x0, 600, seed=21, nodes=nodes)
+        one_terms = terms(grid, nodes)
+        npt.assert_array_equal(one.total, one_terms["total"])
         for j, n in enumerate(nodes):
             alone = harvest_paths(model, grid.truncated(n), x0, 600, seed=21)
+            alone_terms = terms(grid.truncated(n))
             for field in ("X_t", "finite", "singular"):
                 npt.assert_array_equal(getattr(one, field)[:, j], getattr(alone, field)[:, 0])
             assert one.n_sim_invalid[j] == alone.n_sim_invalid[0]
@@ -422,7 +431,7 @@ class TestOnePass:
             scale = np.abs(alone.total[alone.valid]).max()
             for key in TERMS:
                 npt.assert_allclose(
-                    getattr(one, key)[:, j], getattr(alone, key)[:, 0], rtol=0, atol=1e-14 * scale
+                    one_terms[key][:, j], alone_terms[key][:, 0], rtol=0, atol=1e-14 * scale
                 )
         if name == "explosive":
             # 31 and 239 paths overflow by nodes 24 and 32. Of the 16 singular
@@ -437,12 +446,16 @@ class TestOnePass:
         grid = TimeGrid(horizon=1.0, steps=16)
         x0, nodes = [0.3, -0.2], [8, 16]
         chunk = harvest_paths(model, grid, x0, 2048, seed=23, nodes=nodes)
+        inc = sample_brownian_block(grid, model.d, 23, 0, 2048)
+        batch = simulate_variation_batch(model, grid, inc, x0, nodes=nodes)
+        chunk_terms = skorokhod_batch(batch, nodes)
+        assert np.array_equal(chunk.total, chunk_terms["total"])
         for p in (0, 1, 1000, 2047):
             inc = sample_brownian_block(grid, model.d, 23, p, 1)
             one = simulate_variation_batch(model, grid, inc, x0, nodes=nodes)
             assert np.array_equal(chunk.X_t[p], one.X[0, 1:])
             for key, value in skorokhod_batch(one, nodes).items():
-                assert np.array_equal(getattr(chunk, key)[p], value[0]), (p, key)
+                assert np.array_equal(chunk_terms[key][p], value[0]), (p, key)
 
     def test_path_that_overflows_later_counts_until_then(self):
         # Path 2 overflows in step 10, so it is finite through node 10 and
@@ -500,7 +513,14 @@ class TestOnePass:
             "geometric": {"P", "A", "Gam", "R_tot", "B2", "C2"},
         }.get(name, {"P", "A", "Gam", "R_tot", "B1", "B2", "C2"})
         assert set(flagged.sums) == kept
-        want = harvest_paths(model, grid, x0, 600, seed=19, nodes=[8, 32])
+        # The 600-path batch of a harvest at nodes 8 and 32, under each flag setting.
+        inc600 = sample_brownian_block(grid, model.d, 19, 0, 600)
+
+        def terms(sde):
+            batch = simulate_variation_batch(sde, grid, inc600, x0, nodes=[8, 32])
+            return skorokhod_batch(batch, [8, 32])
+
+        want = terms(model)
         gated = {
             "affine_coefficients": ("d2b", "d2sigma"),
             "state_independent_diffusion": ("dsigma", "d2sigma"),
@@ -514,9 +534,9 @@ class TestOnePass:
                 assert np.array_equal(getattr(flagged, field), getattr(general, field)), field
             for key, s in flagged.sums.items():
                 assert np.array_equal(s, general.sums[key]), key
-            got = harvest_paths(cleared, grid, x0, 600, seed=19, nodes=[8, 32])
-            for field in fields(want):
-                npt.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
+            got = terms(cleared)
+            for key in want:
+                npt.assert_array_equal(got[key], want[key], err_msg=key)
 
             calls = []
 

@@ -7,13 +7,12 @@ against exactly solvable cases before being trusted elsewhere.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from pathscore import oracles
+from pathscore import estimator
 from pathscore.estimator import silverman_bandwidth
 from pathscore.models import SdeModel, make_model
 from pathscore.oracles import (
@@ -238,13 +237,13 @@ class TestDualityReport:
         model = make_model("bounded_nonlinear_drift")
         grid = TimeGrid(horizon=1.0, steps=64)
         good = duality_report(model, grid, [0.5], 4000, seed=33)
-        real = oracles.harvest_paths
+        real = estimator.skorokhod_batch
 
         def flipped(*args, **kwargs):
-            h = real(*args, **kwargs)
-            return replace(h, total=h.ito - h.a - h.b + h.c)
+            out = real(*args, **kwargs)
+            return {**out, "total": out["ito"] - out["a"] - out["b"] + out["c"]}
 
-        monkeypatch.setattr(oracles, "harvest_paths", flipped)
+        monkeypatch.setattr(estimator, "skorokhod_batch", flipped)
         bad = duality_report(model, grid, [0.5], 4000, seed=33)
         assert good.ok
         assert good.max_z < 3.0 < bad.max_z
