@@ -98,6 +98,10 @@ def cmd_score(cfg: RunConfig, out_dir: str, workers: int) -> int:
     model, grid, x0 = _build(cfg)
     nodes = _score_nodes(cfg, grid)
     points = cfg.y_points()
+    if points.shape[1] != model.m:
+        raise ConfigError(
+            f"score.y_min: expected {model.m} components for {cfg.model_name}, got {points.shape[1]}"
+        )
     table, harvest = estimate_score(
         model,
         grid,
@@ -106,7 +110,6 @@ def cmd_score(cfg: RunConfig, out_dir: str, workers: int) -> int:
         points,
         cfg.n_paths,
         cfg.seed,
-        bandwidth=cfg.bandwidth,
         workers=workers,
         knn=cfg.knn,
     )

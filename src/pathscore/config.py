@@ -7,7 +7,6 @@ parser once; the accepted keys and the parse loop derive from the fields.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any
 
 import numpy as np
 import yaml
@@ -37,9 +36,11 @@ def _int(val, where: str) -> int:
 
 def _float(val, where: str) -> float:
     try:
-        return float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected float, got {val!r}") from None
+        if np.isfinite(v := float(val)):
+            return v
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{where}: expected a finite number, got {val!r}")
 
 
 def _str(val, where: str) -> str:
@@ -61,9 +62,12 @@ def _floats(val, where: str) -> tuple:
     if np.isscalar(val):
         val = [val]
     try:
-        return tuple(float(v) for v in val)
-    except (TypeError, ValueError):
+        vals = tuple(float(v) for v in val)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected a list of numbers, got {val!r}") from None
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"{where}: expected a finite number, got {vals!r}")
+    return vals
 
 
 def _ints(val, where: str) -> tuple:
@@ -108,19 +112,13 @@ def _model_name(val, where: str) -> str:
     return name
 
 
-def _provider(val, where: str) -> str:
-    name = _str(val, where)
-    if name not in PROVIDERS:
-        raise ConfigError(f"{where}: expected one of {PROVIDERS}, got '{name}'")
-    return name
-
-
-def _bandwidth(val, where: str):
-    if isinstance(val, str):
-        if val != "auto":
-            raise ConfigError(f"{where}: expected 'auto' or a number, got '{val}'")
+def _one_of(*options: str):
+    def check(val, where: str) -> str:
+        if val not in options:
+            raise ConfigError(f"{where}: expected {' or '.join(map(repr, options))}, got {val!r}")
         return val
-    return _positive(_float)(val, where)
+
+    return check
 
 
 def _key(section: str, key: str, parse, **default):
@@ -141,7 +139,8 @@ class RunConfig:
     y_min: tuple = _key("score", "y_min", _floats, default=())
     y_max: tuple = _key("score", "y_max", _floats, default=())
     y_count: tuple = _key("score", "y_count", _ints, default=())
-    bandwidth: Any = _key("score", "bandwidth", _bandwidth, default="auto")
+    # Silverman's rule at each time is the only kernel bandwidth.
+    bandwidth: str = _key("score", "bandwidth", _one_of("auto"), default="auto")
     knn: int | None = _key(
         "score", "knn", _optional(_at_least(int(MIN_EFFECTIVE_SAMPLES))), default=None
     )
@@ -149,7 +148,7 @@ class RunConfig:
     dump_paths: int = _key(
         "output", "dump_paths", _require(_int, lambda n: n >= 0, "must be non-negative"), default=0
     )
-    reverse_provider: str = _key("reverse", "provider", _provider, default="analytic")
+    reverse_provider: str = _key("reverse", "provider", _one_of(*PROVIDERS), default="analytic")
     reverse_samples: int = _key("reverse", "n_samples", _positive(_int), default=10_000)
     reverse_tables_dir: str | None = _key("reverse", "tables_dir", _optional(_str), default=None)
 
@@ -163,9 +162,9 @@ class RunConfig:
                 raise ConfigError(f"score.y_count[{j}]: must be positive, got {n}")
             if lo > hi:
                 raise ConfigError(f"score.y_min[{j}]: {lo} exceeds y_max {hi}")
-        if self.knn is not None and self.bandwidth != "auto":
-            # k-NN windows take no bandwidth; a number here would be ignored.
-            raise ConfigError(f"score.bandwidth: must be 'auto' with score.knn, got {self.bandwidth}")
+        if self.knn is not None and self.knn >= self.n_paths:
+            # A window over every path is the sample mean, flat in y.
+            raise ConfigError(f"score.knn: must be below sampling.n_paths, got {self.knn}")
         if self.reverse_provider == "tables" and not self.reverse_tables_dir:
             raise ConfigError("reverse.tables_dir: required when provider is 'tables'")
 

@@ -9,12 +9,13 @@ as the terminal time. One simulation to the latest requested time yields
 delta at every requested time: the Euler loop folds each step into running
 sums, and skorokhod_batch contracts the sums kept at each time.
 The conditional expectation uses Nadaraya-Watson weights with a Gaussian
-product kernel (bandwidth per dimension, Silverman by default) or an optional
-k-nearest-neighbor window, fitted separately at each time. Standard errors
-come from the delta method for the weighted ratio, and from the window's
-sample standard deviation for k-NN. Nadaraya-Watson costs O(Q n m) for n
-paths and Q points; it takes the points in blocks of _GATHER // n rows and
-works on (rows, n) arrays, so its memory is O(n) whatever Q is. At m = 1
+product kernel, whose per-dimension bandwidth is Silverman's rule on each
+time's valid sample, or an optional k-nearest-neighbor window, fitted
+separately at each time. Standard errors come from the delta method for the
+weighted ratio, and from the window's sample standard deviation for k-NN.
+Nadaraya-Watson costs O(Q n m) for n paths and Q points; it takes the points
+in blocks of _GATHER // n rows and works on (rows, n) arrays, so its memory
+is O(n) whatever Q is. At m = 1
 the k-NN windows come from one sort of X_t per time, O(n log n + Q k): equal
 X values keep path-index order, and at an equal-distance boundary the window
 keeps the lower X. At m >= 2 k-NN uses the same blocks, O(Q n).
@@ -279,7 +280,6 @@ def _knn_tables(X, delta, points, k):
     sample, one axis at a time, then one argpartition per block, O(Q n).
     """
     Q, (n, m) = points.shape[0], X.shape
-    k = min(k, n)
     n_eff = np.full(Q, float(k))
     scores, stderr = np.empty((Q, m)), np.empty((Q, m))
     if m == 1:
@@ -310,7 +310,6 @@ def estimate_score(
     points,
     n_paths: int,
     seed: int,
-    bandwidth="auto",
     workers: int = 1,
     knn: int | None = None,
 ) -> tuple[ScoreTable, PathHarvest]:
@@ -319,7 +318,10 @@ def estimate_score(
     Each time must lie on the grid, strictly after the first node. One
     harvest simulates the paths to the latest time and yields the
     anticipating integrals at every time; the regression then runs once per
-    distinct time.
+    distinct time, on that time's valid paths: Nadaraya-Watson with
+    Silverman's bandwidth, or with knn set, the mean over the knn nearest
+    paths. A time with fewer than 100 valid paths, or with knn or fewer, is
+    refused.
     Returns the ScoreTable, whose node axis follows ``times``, together with
     the raw per-path harvest it was regressed from.
     """
@@ -336,17 +338,10 @@ def estimate_score(
     if points.ndim != 2 or points.shape[1] != model.m:
         raise ValueError(f"evaluation points must have shape (Q, {model.m})")
 
-    h = None
-    if knn is not None:
-        if knn < MIN_EFFECTIVE_SAMPLES:
-            raise ValueError(f"knn must be at least {int(MIN_EFFECTIVE_SAMPLES)}")
-    elif isinstance(bandwidth, str):
-        if bandwidth != "auto":
-            raise ValueError(f"bandwidth must be a positive number or 'auto', got {bandwidth!r}")
-    else:
-        h = np.broadcast_to(np.asarray(bandwidth, dtype=float), (model.m,)).copy()
-        if not np.all(h > 0):
-            raise ValueError("bandwidth must be positive")
+    if knn is not None and knn < MIN_EFFECTIVE_SAMPLES:
+        raise ValueError(f"knn must be at least {int(MIN_EFFECTIVE_SAMPLES)}")
+    # A k-NN window over every valid path would be their mean, flat in y.
+    need = 100 if knn is None else max(100, knn + 1)
 
     t0 = time.perf_counter()
     harvest = harvest_paths(model, grid, x0, n_paths, seed, workers=workers, nodes=nodes)
@@ -365,12 +360,10 @@ def estimate_score(
         t0 = time.perf_counter()
         ok = harvest.valid[:, j]
         X, delta = harvest.X_t[ok, j], harvest.total[ok, j]
-        if X.shape[0] < 100:
-            raise ValueError(
-                f"only {X.shape[0]} valid paths survived at node {node}; estimate unreliable"
-            )
+        if X.shape[0] < need:
+            raise ValueError(f"only {X.shape[0]} valid paths survived at node {node}; need {need}")
         if knn is None:
-            bws[j] = silverman_bandwidth(X) if h is None else h
+            bws[j] = silverman_bandwidth(X)
             scores[j], stderr[j], n_eff[j] = _nw_tables(X, delta, points, bws[j])
         else:
             scores[j], stderr[j], n_eff[j] = _knn_tables(X, delta, points, int(knn))

@@ -447,6 +447,19 @@ class TestErrorPaths:
             "sampling.x0",
         )
 
+    def test_wrong_score_grid_dimension(self, tmp_path, capsys):
+        cfg = _write(
+            tmp_path,
+            "model:\n  name: linear_multidim\ngrid:\n  horizon: 1.0\n  steps: 8\n"
+            "sampling:\n  x0: [0.0, 0.0]\n  n_paths: 200\n  seed: 1\n"
+            "score:\n  t_eval: [1.0]\n  y_min: [-1.0]\n  y_max: [1.0]\n  y_count: [5]\n",
+        )
+        self._expect_config_error(
+            ["score", "--config", cfg, "--out", str(tmp_path / "o")],
+            capsys,
+            "score.y_min: expected 2 components for linear_multidim, got 1",
+        )
+
     def test_tables_provider_needs_directory(self, tmp_path, capsys):
         cfg = _write(
             tmp_path,

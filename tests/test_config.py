@@ -1,5 +1,8 @@
 """Configuration parsing: every rejection names the offending section.key."""
 
+import importlib
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +48,7 @@ class TestParse:
                 "y_min": [-2.0],
                 "y_max": [2.0],
                 "y_count": [11],
-                "bandwidth": 0.3,
+                "bandwidth": "auto",
             },
             output={"directory": "run1", "dump_paths": 2},
             reverse={"provider": "tables", "n_samples": 500, "tables_dir": "tabs"},
@@ -53,7 +56,7 @@ class TestParse:
         cfg = parse_config(raw)
         assert cfg.model_params == {"alpha": 0.25}
         assert cfg.t_eval == (0.5, 1.0)
-        assert cfg.bandwidth == 0.3
+        assert cfg.bandwidth == "auto"
         assert cfg.out_dir == "run1" and cfg.dump_paths == 2
         assert cfg.reverse_provider == "tables"
         assert cfg.reverse_samples == 500 and cfg.reverse_tables_dir == "tabs"
@@ -103,7 +106,7 @@ class TestParse:
             "score.y_min\\[0\\]",
         ),
         (lambda r: r.__setitem__("score", {"bandwidth": "wide"}), "score.bandwidth"),
-        (lambda r: r.__setitem__("score", {"bandwidth": -2}), "score.bandwidth: must be positive"),
+        (lambda r: r.__setitem__("score", {"bandwidth": 0.3}), "score.bandwidth: expected 'auto'"),
         (lambda r: r.__setitem__("score", {"mode": "fast"}), "score.mode"),
         (lambda r: r.__setitem__("score", {"mode": "auto"}), "score.mode: unknown key"),
         (lambda r: r.__setitem__("score", {"bandwith": 0.3}), "score.bandwith: unknown key"),
@@ -111,9 +114,14 @@ class TestParse:
         (lambda r: r.__setitem__("reverse", {"tables-dir": "t"}), "reverse.tables-dir: unknown"),
         (lambda r: r.__setitem__("score", {"knn": 2}), "score.knn: must be at least 5"),
         (
-            lambda r: r.__setitem__("score", {"bandwidth": 0.05, "knn": 50}),
-            "score.bandwidth: must be 'auto' with score.knn",
+            lambda r: r.__setitem__("score", {"knn": 1000}),
+            "score.knn: must be below sampling.n_paths",
         ),
+        (lambda r: r.__setitem__("score", {"y_min": [-math.inf]}), "score.y_min: expected a finite"),
+        (lambda r: r.__setitem__("score", {"y_max": [math.nan]}), "score.y_max: expected a finite"),
+        (lambda r: r.__setitem__("score", {"t_eval": [math.nan]}), "score.t_eval: expected a finite"),
+        (lambda r: r["sampling"].__setitem__("x0", [math.nan]), "sampling.x0: expected a finite"),
+        (lambda r: r["grid"].__setitem__("horizon", math.inf), "grid.horizon: expected a finite"),
         (lambda r: r.__setitem__("output", {"dump_paths": -1}), "output.dump_paths"),
         (lambda r: r.__setitem__("reverse", {"provider": "magic"}), "reverse.provider"),
         (lambda r: r.__setitem__("reverse", {"tables_dir": 3}), "reverse.tables_dir"),
@@ -143,6 +151,19 @@ def test_readme_lists_every_key():
     assert {name: set(sec) for name, sec in raw.items()} == {
         name: set(keys) for name, keys in SECTIONS.items()
     }
+
+
+def test_benchmark_configs_parse(tmp_path, monkeypatch):
+    # perfbench/run.py imports its workloads with perfbench/ on sys.path; a
+    # config of theirs that parse_config refuses would fail every benchmark run.
+    # Nothing is written under perfbench/, not even a bytecode cache.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    assert workloads.WORKLOADS
+    for w in workloads.WORKLOADS.values():
+        raw = workloads.config_for(w, 11, tables_dir=str(tmp_path))
+        assert parse_config(raw).seed == 11, w.name
 
 
 def test_top_level_must_be_mapping():

@@ -287,25 +287,30 @@ class TestEstimateScore:
         assert not table.flagged.any()
         assert table.excluded.tolist() == [0]
 
-    def test_stderr_shrinks_with_more_paths(self):
+    @staticmethod
+    def _ou_fixed_bandwidth(n_paths, points, h):
+        # The OU terminal sample of seed 7, regressed with a fixed bandwidth h.
         model = make_model("ornstein_uhlenbeck")
-        grid = TimeGrid(horizon=1.0, steps=64)
-        small, _ = estimate_score(model, grid, [0.0], [1.0], [[0.0]], 2000, seed=7, bandwidth=0.25)
-        big, _ = estimate_score(model, grid, [0.0], [1.0], [[0.0]], 8000, seed=7, bandwidth=0.25)
-        ratio = small.stderr[0, 0, 0] / big.stderr[0, 0, 0]
+        harvest = harvest_paths(model, TimeGrid(horizon=1.0, steps=64), [0.0], n_paths, seed=7)
+        ok = harvest.valid[:, 0]
+        X, delta = harvest.X_t[ok, 0], harvest.total[ok, 0]
+        return _nw_tables(X, delta, np.array(points, dtype=float), np.array([h]))
+
+    def test_stderr_shrinks_with_more_paths(self):
+        _, small, _ = self._ou_fixed_bandwidth(2000, [[0.0]], 0.25)
+        _, big, _ = self._ou_fixed_bandwidth(8000, [[0.0]], 0.25)
+        ratio = small[0, 0] / big[0, 0]
         assert 1.6 < ratio < 2.4  # 4x paths -> roughly half the error
 
     def test_shrinking_bandwidth_costs_effective_samples(self):
-        model = make_model("ornstein_uhlenbeck")
-        grid = TimeGrid(horizon=1.0, steps=64)
         pts = [[-0.5], [0.0], [0.5]]
-        wide, _ = estimate_score(model, grid, [0.0], [1.0], pts, 5000, seed=7, bandwidth=0.3)
-        narrow, _ = estimate_score(model, grid, [0.0], [1.0], pts, 5000, seed=7, bandwidth=0.15)
-        assert np.all(narrow.n_eff < wide.n_eff)
+        _, wide_se, wide_n_eff = self._ou_fixed_bandwidth(5000, pts, 0.3)
+        _, narrow_se, narrow_n_eff = self._ou_fixed_bandwidth(5000, pts, 0.15)
+        assert np.all(narrow_n_eff < wide_n_eff)
         # For linear dynamics the integral is a function of the endpoint, so
         # the kernel residuals scale with the window and the pointwise error
         # *drops* roughly like sqrt(h) as the window shrinks.
-        ratio = narrow.stderr[0, 1, 0] / wide.stderr[0, 1, 0]
+        ratio = narrow_se[1, 0] / wide_se[1, 0]
         assert 0.5 < ratio < 0.95
 
     def test_evaluation_time_must_sit_on_grid(self):
@@ -323,12 +328,17 @@ class TestEstimateScore:
             estimate_score(model, grid, [0.0], [1.0], [[0.0]], 50, seed=0)
         with pytest.raises(ValueError, match="shape"):
             estimate_score(model, grid, [0.0], [1.0], np.zeros((3, 2)), 200, seed=0)
-        with pytest.raises(ValueError, match="bandwidth"):
-            estimate_score(model, grid, [0.0], [1.0], [[0.0]], 200, seed=0, bandwidth="wide")
-        with pytest.raises(ValueError, match="bandwidth"):
-            estimate_score(model, grid, [0.0], [1.0], [[0.0]], 200, seed=0, bandwidth=-0.1)
         with pytest.raises(ValueError, match="knn"):
             estimate_score(model, grid, [0.0], [1.0], [[0.0]], 200, seed=0, knn=2)
+
+    def test_knn_window_must_leave_paths_out(self):
+        # A window over all 200 valid paths would be their mean, flat in y.
+        model = make_model("ornstein_uhlenbeck")
+        grid = TimeGrid(horizon=1.0, steps=16)
+        with pytest.raises(ValueError, match="only 200 valid paths survived at node 16; need 201"):
+            estimate_score(model, grid, [0.0], [1.0], [[0.0]], 200, seed=0, knn=200)
+        table, _ = estimate_score(model, grid, [0.0], [1.0], [[0.0]], 200, seed=0, knn=199)
+        assert table.n_eff.tolist() == [[199.0]]
 
     def test_nearest_neighbor_window(self):
         model = make_model("ornstein_uhlenbeck")
@@ -341,9 +351,7 @@ class TestEstimateScore:
     def test_tail_points_flagged_not_extrapolated(self):
         model = make_model("ornstein_uhlenbeck")
         grid = TimeGrid(horizon=1.0, steps=64)
-        table, _ = estimate_score(
-            model, grid, [0.0], [1.0], [[0.0], [40.0]], 2000, seed=3, bandwidth=0.2
-        )
+        table, _ = estimate_score(model, grid, [0.0], [1.0], [[0.0], [40.0]], 2000, seed=3)
         assert table.flagged.tolist() == [[False, True]]
         assert np.isnan(table.scores[0, 1, 0])
 
