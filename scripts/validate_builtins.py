@@ -1,5 +1,6 @@
 """Run the full validation suite (derivative checks, covering condition,
-reduced-form equivalence, bump probes, duality) on every builtin model.
+bump probes, duality) on every builtin model, and the reduced-form
+(corollary) equivalence on the two declared ``linear``: OU and linear_multidim.
 
 Each model's validate run prints its PASS/FAIL lines; its files
 (validation.txt, summary.txt and the duality matrix in duality.csv) go to a

@@ -79,7 +79,10 @@ def _summary_open(out_dir: str, command: str, cfg: RunConfig):
 
 
 def _build(cfg: RunConfig):
-    model = make_model(cfg.model_name, cfg.model_params)
+    try:
+        model = make_model(cfg.model_name, cfg.model_params)
+    except ValueError as e:
+        raise ConfigError(f"model.params: {e}") from None
     if len(cfg.x0) != model.m:
         raise ConfigError(
             f"sampling.x0: expected {model.m} components for {cfg.model_name}, got {len(cfg.x0)}"
@@ -262,11 +265,10 @@ def _validate_checks(cfg: RunConfig, out_dir: str, workers: int):
         f"max |<DX_T, u_k> - identity| = {worst:.3e} over {int(usable.sum())} paths",
     )
 
-    if model.state_independent_diffusion or model.affine_coefficients:
-        # The same noise simulated again under cleared flags runs the
+    if model.linear:
+        # The same noise simulated again with the flag cleared runs the
         # general assembly.
-        cleared = replace(model, state_independent_diffusion=False, affine_coefficients=False)
-        general = simulate_variation_batch(cleared, grid, inc, x0)
+        general = simulate_variation_batch(replace(model, linear=False), grid, inc, x0)
         res_g = skorokhod_batch(general)["total"][usable, 0]
         res_c = skorokhod_batch(batch)["total"][usable, 0]
         dev = np.abs(res_g - res_c)

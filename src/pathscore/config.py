@@ -36,7 +36,7 @@ def _int(val, where: str) -> int:
 
 def _float(val, where: str) -> float:
     try:
-        if np.isfinite(v := float(val)):
+        if not isinstance(val, bool) and np.isfinite(v := float(val)):
             return v
     except (TypeError, ValueError, OverflowError):
         pass
@@ -58,10 +58,21 @@ def _mapping(val, where: str) -> dict:
     return dict(val)
 
 
+def _params(val, where: str) -> dict:
+    """A mapping of finite numbers or nested lists of them, kept as given."""
+    params = _mapping(val, where)
+    for key, v in params.items():
+        for leaf in np.ravel(np.asarray(v, dtype=object)):
+            _float(leaf, f"{where}.{key}")
+    return params
+
+
 def _floats(val, where: str) -> tuple:
     if np.isscalar(val):
         val = [val]
     try:
+        if any(isinstance(v, bool) for v in val):
+            raise TypeError
         vals = tuple(float(v) for v in val)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected a list of numbers, got {val!r}") from None
@@ -129,7 +140,7 @@ def _key(section: str, key: str, parse, **default):
 @dataclass(frozen=True, kw_only=True)
 class RunConfig:
     model_name: str = _key("model", "name", _model_name)
-    model_params: dict = _key("model", "params", _mapping, default_factory=dict)
+    model_params: dict = _key("model", "params", _params, default_factory=dict)
     horizon: float = _key("grid", "horizon", _positive(_float))
     steps: int = _key("grid", "steps", _at_least(2))
     x0: tuple = _key("sampling", "x0", _floats)

@@ -50,9 +50,9 @@ Nothing above depends on N being the last grid node: with any node n as the
 terminal time, the sums run over steps 0..n-1. The Euler loop of
 simulate_variation_batch therefore folds each step into the sums as it goes
 (_fold_step, with O(m^4) state per path) and keeps them, with (Y, Z), at the
-nodes it is asked for. It keeps only the sums the model's flags leave
-nonzero: B1 enters only through Z, so an affine model drops it, and with
-both flags set R_n = 0 and only P and Gamma remain. skorokhod_batch only
+nodes it is asked for. On a model declared ``linear`` Z = 0 and
+dsigma = 0, so R_n = 0 and B1 multiplies only Z: P and Gamma are the only
+sums kept, and a, b and c are exact zeros. skorokhod_batch only
 contracts the sums kept at each requested node n with (Y_n, Z_n) and
 gamma = Y_n Gamma Y_n^T, every node in one pass over (node, path) rows in
 blocks of _BLOCK rows times m^4 (one node at least), each contraction an
@@ -158,42 +158,32 @@ def compute_bundle_batch(batch: TrajectoryBatch) -> BundleBatch:
 
 
 def _zero_sums(model: SdeModel, B: int) -> dict:
-    """The running sums over no steps that the model's flags leave in use.
+    """The running sums over no steps: all seven, or P and Gam on a ``linear`` model.
 
-    P and Gam always. B1 enters delta only through Z, so a model flagged
-    affine_coefficients drops it; A, R_tot, B2 and C2 are sums of R_n,
-    which is zero on a ``linear`` model (both flags set).
+    There R_n (summed into A, R_tot, B2 and C2) and Z (B1's only factor) are zero.
     """
     ranks = dict(P=1, Gam=2)
-    if not model.affine_coefficients:
-        ranks["B1"] = 4
     if not model.linear:
-        ranks.update(A=1, R_tot=3, B2=3, C2=3)
+        ranks.update(B1=4, A=1, R_tot=3, B2=3, C2=3)
     return {name: np.zeros((B,) + (model.m,) * rank) for name, rank in ranks.items()}
 
 
-def _fold_step(sums: dict, model: SdeModel, dt: float, yinv, sig, z, dsY, dW) -> None:
+def _fold_step(sums: dict, dt: float, yinv, sig, z, dsY, dW) -> None:
     """Add Euler step n to the running sums of _zero_sums, in place.
 
     yinv, sig and z are Yinv_n, sigma_n and Z_n at the left node, dsY is
-    dsigma_n . Y_n (None on a model flagged state_independent_diffusion)
-    and dW the increment of the step. R_n skips its Z term on a model
-    flagged affine_coefficients and its dsigma term when dsY is None.
+    dsigma_n . Y_n and dW the increment of the step. With only P and Gam
+    kept (a ``linear`` model) z and dsY are not read.
     """
     V = np.einsum("bij,bjl->bil", yinv, sig)
     S = dt * np.einsum("bjl,bql->bjq", V, V)
     sums["P"] += np.einsum("bil,bl->bi", V, dW)
-    if "B1" in sums:
-        sums["B1"] += np.einsum("bjy,bxe->bjyxe", S, sums["Gam"])
     if "R_tot" in sums:
-        if model.affine_coefficients:
-            R = np.zeros(S.shape + (S.shape[-1],))
-        else:
-            R = np.einsum("bri,bieq,bjq->bjre", yinv, z, S)
-        if dsY is not None:
-            # Two fixed pairwise steps: dsigma . Y (already formed for the Y
-            # update) with Yinv, then with V.
-            R -= dt * np.einsum("bjl,blre->bjre", V, np.einsum("bri,blie->blre", yinv, dsY))
+        sums["B1"] += np.einsum("bjy,bxe->bjyxe", S, sums["Gam"])
+        R = np.einsum("bri,bieq,bjq->bjre", yinv, z, S)
+        # Two fixed pairwise steps: dsigma . Y (already formed for the Y
+        # update) with Yinv, then with V.
+        R -= dt * np.einsum("bjl,blre->bjre", V, np.einsum("bri,blie->blre", yinv, dsY))
         sums["A"] += np.einsum("bjrj->br", R)
         sums["B2"] += np.einsum("bjrx,bxe->bjre", R, sums["Gam"])
         sums["C2"] += np.einsum("bjr,bexr->bjex", S, sums["R_tot"])
@@ -216,8 +206,8 @@ def skorokhod_batch(batch: TrajectoryBatch, nodes=None) -> dict:
                             (or an integral overflowed there)
 
     The integrals of paths that are not finite or singular are nan. The
-    running sums come from the simulation, which skips the terms that the
-    model's flags make zero.
+    running sums come from the simulation, which keeps only P and Gamma on
+    a ``linear`` model.
     """
     grid = batch.grid
     wanted = [grid.steps] if nodes is None else [int(n) for n in nodes]
@@ -248,9 +238,8 @@ def skorokhod_batch(batch: TrajectoryBatch, nodes=None) -> dict:
 def _terms_at_node(Yn, Zn, finite, P, Gam, A=None, R_tot=None, B1=None, B2=None, C2=None) -> dict:
     """Contract the running sums with (Y_n, Z_n) and gamma, one row per (node, path).
 
-    The sums that _zero_sums left out are identically zero, and so is every
-    term they feed: without R_tot, a, b and c are exact zeros; without B1,
-    Z_n is zero and its terms are skipped.
+    Without the sums of R_n and B1 (a ``linear`` model, where they are zero),
+    a, b and c are exact zeros.
     """
     gamma = np.einsum("bpx,bxy,bqy->bpq", Yn, Gam, Yn)
     cond, singular, gi = _invert_gram(gamma, finite)
@@ -260,16 +249,14 @@ def _terms_at_node(Yn, Zn, finite, P, Gam, A=None, R_tot=None, B1=None, B2=None,
         a, b, c = (np.zeros_like(ito) for _ in range(3))
     else:
         # a_vec, and the kernels K[j, p, q] of the s < t (b) and s >= t (c)
-        # parts of D gamma: the R_n terms, then the Z_n terms added.
-        a_vec = -np.einsum("bpr,br->bp", Yn, A)
-        Kb = -np.einsum("bpr,bjre->bjpe", Yn, B2)
+        # parts of D gamma: the Z_n terms minus the R_n terms.
+        a_vec = np.einsum("bpxy,bxy->bp", Zn, Gam) - np.einsum("bpr,br->bp", Yn, A)
+        Kb = np.einsum("bpxy,bjyxe->bjpe", Zn, B1) - np.einsum("bpr,bjre->bjpe", Yn, B2)
+        GG = np.einsum("bjy,bxe->bjyxe", Gam, Gam) - B1
         GR = np.einsum("bjr,bexr->bjex", Gam, R_tot) - C2
-        Kc = -np.einsum("bpx,bqe,bjex->bjpq", Yn, Yn, GR)
-        if B1 is not None:
-            a_vec += np.einsum("bpxy,bxy->bp", Zn, Gam)
-            Kb += np.einsum("bpxy,bjyxe->bjpe", Zn, B1)
-            GG = np.einsum("bjy,bxe->bjyxe", Gam, Gam) - B1
-            Kc += np.einsum("bpxy,bjyxe,bqe->bjpq", Zn, GG, Yn)
+        Kc = np.einsum("bpxy,bjyxe,bqe->bjpq", Zn, GG, Yn) - np.einsum(
+            "bpx,bqe,bjex->bjpq", Yn, Yn, GR
+        )
         a = np.einsum("bp,bpk->bk", a_vec, gi)
         Kb = np.einsum("bjpe,bqe->bjpq", Kb, Yn)
         b = np.einsum("bja,bjaq,bqk->bk", F, Kb + np.swapaxes(Kb, -1, -2), gi)

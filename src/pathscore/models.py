@@ -15,6 +15,10 @@ d2sigma     (..., d, m, m, m)  d2sigma[l, i, p, q]
 
 Evaluators are pure functions of (t, x) and broadcast over the batch axes.
 ``t`` may be a scalar or an array broadcastable against ``x.shape[:-1]``.
+
+A model declared ``linear`` promises b = A(t) x + c(t) and sigma = Sigma(t):
+dsigma, d2b and d2sigma vanish and db does not depend on x. Its Y is then
+deterministic, Z stays 0 and the law from a point start is Gaussian.
 """
 
 from __future__ import annotations
@@ -39,20 +43,7 @@ class SdeModel:
     dsigma: Callable
     d2b: Callable
     d2sigma: Callable
-    state_independent_diffusion: bool = False
-    # b and sigma are affine in x (d2b = d2sigma = 0), so the second
-    # variation Z stays 0 and its terms are skipped. With
-    # state_independent_diffusion also set the model is ``linear``.
-    affine_coefficients: bool = False
-
-    @property
-    def linear(self) -> bool:
-        """Both flags set: b = A(t) x + c(t) and sigma = Sigma(t).
-
-        Y is then deterministic, from db read at the origin (db must not
-        depend on x), and the law from a point start is Gaussian.
-        """
-        return self.affine_coefficients and self.state_independent_diffusion
+    linear: bool = False  # the promise in the module docstring
 
 
 def _bcast(const: np.ndarray, x: np.ndarray, trailing: int) -> np.ndarray:
@@ -84,8 +75,7 @@ def _linear(name: str, A, Sigma, params: dict) -> SdeModel:
         dsigma=lambda t, x: _zeros_like_batch(x, (d, m, m)),
         d2b=lambda t, x: _zeros_like_batch(x, (m, m, m)),
         d2sigma=lambda t, x: _zeros_like_batch(x, (d, m, m, m)),
-        state_independent_diffusion=True,
-        affine_coefficients=True,
+        linear=True,
     )
 
 
@@ -123,7 +113,6 @@ def bounded_nonlinear_drift(k: float = 1.0, a: float = 0.0, sigma0: float = 1.0)
         dsigma=lambda t, x: _zeros_like_batch(x, (1, 1, 1)),
         d2b=d2b,
         d2sigma=lambda t, x: _zeros_like_batch(x, (1, 1, 1, 1)),
-        state_independent_diffusion=True,
     )
 
 
@@ -159,7 +148,6 @@ def state_dependent_tanh(theta: float = 1.0, sigma0: float = 1.0, alpha: float =
         dsigma=dsigma,
         d2b=lambda t, x: _zeros_like_batch(x, (1, 1, 1)),
         d2sigma=d2sigma,
-        state_independent_diffusion=False,
     )
 
 
@@ -199,16 +187,14 @@ def divergence_sigma_sigma_T(model: SdeModel, t, x, sig) -> np.ndarray:
     """Row divergence of sigma sigma^T: out[i] = sum_j d_{x_j} (sigma sigma^T)_{ij}.
 
     sig is model.sigma(t, x), which the caller has already evaluated.
-    Appears in the drift of the reverse-time equation; identically zero for
-    state-independent diffusion.
+    Appears in the drift of the reverse-time equation; identically zero on a
+    ``linear`` model.
     """
     x = np.asarray(x, dtype=float)
-    if model.state_independent_diffusion:
+    if model.linear:
         return np.zeros(x.shape[:-1] + (model.m,))
     dsig = model.dsigma(t, x)
-    term1 = np.einsum("...lij,...jl->...i", dsig, sig)
-    term2 = np.einsum("...il,...ljj->...i", sig, dsig)
-    return term1 + term2
+    return np.einsum("...lij,...jl->...i", dsig, sig) + np.einsum("...il,...ljj->...i", sig, dsig)
 
 
 @dataclass(frozen=True)

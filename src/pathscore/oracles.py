@@ -231,7 +231,8 @@ def kde_score(samples: np.ndarray, y, bandwidth="auto") -> KdeScoreResult:
     For a product kernel, grad log p_hat(y) = (weighted mean of x - y) / h^2
     with kernel weights centered at y. Standard errors use the delta method
     on the weighted ratio. Flagged unreliable when the KDE mass at y is
-    below DENSITY_FLOOR.
+    below DENSITY_FLOOR. bandwidth is "auto" (Silverman's rule) or h, a
+    number or one per axis.
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim == 1:
@@ -240,6 +241,8 @@ def kde_score(samples: np.ndarray, y, bandwidth="auto") -> KdeScoreResult:
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
     y = np.asarray(y, dtype=float).reshape(m)
+    if isinstance(bandwidth, str) and bandwidth != "auto":
+        raise ValueError(f"bandwidth: expected 'auto' or a number, got {bandwidth!r}")
     h = silverman_bandwidth(X) if isinstance(bandwidth, str) else np.broadcast_to(
         np.asarray(bandwidth, dtype=float), (m,)
     )

@@ -11,15 +11,13 @@ The inverse first variation Yinv_t = Y_t^{-1} is not simulated: each step
 inverts the current Y, so Y_t Yinv_t = I to rounding. The same pass folds
 the step into the running sums from which malliavin.skorokhod_batch
 reads the anticipating integrals, so it is the only pass over the path,
-and keeps both only at the requested nodes. On a model flagged
-``affine_coefficients`` Z stays at its zero start, and on one flagged
-``state_independent_diffusion`` the dsigma terms are skipped. On a
-``linear`` model (both flags set) Y is deterministic, the same on every
-path, so the loop carries one row of (Y, Z) and inverts it once per step.
-At m = d = 1 a model not flagged ``affine_coefficients`` runs a flat step on
-(B,) arrays with the einsum step's bits: untraced (4096 paths by 256 steps, 2
-shared cores) tanh took 50-53 ms there against 72-80 ms. The einsum step copies
-each step's increments out of the noise block: OU took 28-29 ms, not 33-35 ms.
+and keeps both only at the requested nodes. On a model declared ``linear``
+Y is deterministic and Z stays 0, so the loop carries one row of Y and never
+evaluates dsigma, d2b or d2sigma. Every other model runs the full updates, at
+m = d = 1 as a flat step on (B,) arrays with the einsum step's bits: untraced
+(4096 paths by 256 steps, 2 shared cores) tanh took 50-53 ms there against
+72-80 ms. The einsum step copies each step's increments out of the noise
+block: OU took 28-29 ms, not 33-35 ms.
 
 Everything is vectorized over a leading batch-of-paths axis, and a single
 path is a row slice of a batch (TrajectoryBatch.take). Noise is
@@ -165,16 +163,13 @@ def simulate_variation_batch(
     and the sums are kept at node 0 and at the grid indices ``nodes``
     (default: every node), so a score run holds no per-step array.
 
-    On a model flagged ``state_independent_diffusion`` the dsigma terms of
-    the Y and Z updates are skipped, and on one flagged
-    ``affine_coefficients`` Z stays at its zero start. On a ``linear`` model
-    Y, Yinv and Z are shared by every path: they are carried on a batch axis
-    of length 1, db is evaluated once at the origin (it cannot depend on x), and
-    Yinv_n, V_n and S_n are formed once per step, while P and Gamma still
-    accumulate per path by broadcasting. A model with m = d = 1 and a live Z
-    runs _flat_steps, with the bits of the einsum step. The kept node arrays
-    have B rows either way. Paths that leave the finite domain or whose Y
-    turns singular are flagged invalid, never raised.
+    On a ``linear`` model Y, Yinv and Z (= 0) are shared by every path on a
+    batch axis of length 1, db is read once at the origin (it cannot depend on
+    x), and Yinv_n, V_n and S_n are formed once per step, while P and Gamma
+    accumulate per path by broadcasting. Any other model with m = d = 1 runs
+    _flat_steps, with the einsum step's bits. The kept node arrays have B rows
+    either way. Paths that leave the finite domain or whose Y turns singular
+    are flagged invalid, never raised.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 3 or inc.shape[1] != grid.steps or inc.shape[2] != model.d:
@@ -187,7 +182,7 @@ def simulate_variation_batch(
         keep = np.array(sorted({0, *np.asarray(nodes, dtype=int).ravel().tolist()}))
     if keep.min() < 0 or keep.max() > N:
         raise ValueError(f"nodes must lie in [0, {N}], got {nodes}")
-    steps = _flat_steps if model.m == model.d == 1 and not model.affine_coefficients else _einsum_steps
+    steps = _flat_steps if model.m == model.d == 1 and not model.linear else _einsum_steps
     kept, alive = steps(model, grid, inc, np.asarray(x0, dtype=float), keep)
     node_fields = {name: kept.pop(name) for name in ("X", "Y", "Yinv", "Z", "finite")}
     return TrajectoryBatch(model=model, grid=grid, nodes=keep, sums=kept, valid=alive, **node_fields)
@@ -197,19 +192,15 @@ def _einsum_steps(model: SdeModel, grid: TimeGrid, inc: np.ndarray, x0: np.ndarr
     """simulate_variation_batch's loop as einsums: the kept arrays by name, and valid."""
     B, m, N, dt = inc.shape[0], model.m, grid.steps, grid.dt
     slot = dict(zip(keep.tolist(), range(len(keep))))
-    general_sigma = not model.state_independent_diffusion
-    # On a linear model Y solves a deterministic ODE, so one row of (Y, Z)
-    # serves every path; the sums broadcast it against the per-path dW. Its db
-    # does not depend on x, so it is read at the origin, which stays finite
-    # when some path blows up.
+    # A linear model's Y solves a deterministic ODE, so one row serves every
+    # path, with db read at the origin, which stays finite when a path blows up.
     shared = model.linear
-    rows = 1 if shared else B
     origin = np.zeros((1, m))
 
     kept = {}
     x = np.array(np.broadcast_to(x0, (B, m)))
-    y = np.array(np.broadcast_to(np.eye(m), (rows, m, m)))
-    z = np.zeros((rows, m, m, m))
+    y = np.array(np.broadcast_to(np.eye(m), (1 if shared else B, m, m)))
+    z = np.zeros(y.shape + (m,))
     alive = np.ones(B, dtype=bool)
     sums = _zero_sums(model, B)
     # Each step's increments, copied once out of the block, where they are strided.
@@ -236,35 +227,30 @@ def _einsum_steps(model: SdeModel, grid: TimeGrid, inc: np.ndarray, x0: np.ndarr
             b = model.b(t, x)
             sig = model.sigma(t, x)
             db = model.db(t, origin if shared else x)
-            dsig = dsY = None
-            if general_sigma:
-                dsig = model.dsigma(t, x)
-                dsY = np.einsum("blij,bjk->blik", dsig, y)
-            _fold_step(sums, model, dt, yinv, sig[:rows], z, dsY, dW)
-
             x_next = _state_step(x, b, sig, dW, dt)
             y_next = y + np.einsum("bij,bjk->bik", db, y) * dt
-            if general_sigma:
+            if shared:
+                _fold_step(sums, dt, yinv, sig[:1], z, None, dW)
+            else:
+                dsig = model.dsigma(t, x)
+                dsY = np.einsum("blij,bjk->blik", dsig, y)
+                _fold_step(sums, dt, yinv, sig, z, dsY, dW)
                 y_next += np.einsum("blik,bl->bik", dsY, dW)
-            if not model.affine_coefficients:
                 # dZ[i,j,k]: Hessian of the flow; both drift and noise have a
                 # curvature term d2(coeff):(Y x Y) plus a linear transport term.
                 zdrift = np.einsum("bipq,bpj,bqk->bijk", model.d2b(t, x), y, y) + np.einsum(
                     "bir,brjk->bijk", db, z
                 )
-                z_next = z + zdrift * dt
-                if general_sigma:
-                    znoise = np.einsum(
-                        "blipq,bpj,bqk->blijk", model.d2sigma(t, x), y, y
-                    ) + np.einsum("blir,brjk->blijk", dsig, z)
-                    z_next += np.einsum("blijk,bl->bijk", znoise, dW)
-                z = z_next
+                znoise = np.einsum("blipq,bpj,bqk->blijk", model.d2sigma(t, x), y, y) + np.einsum(
+                    "blir,brjk->blijk", dsig, z
+                )
+                z = z + zdrift * dt + np.einsum("blijk,bl->bijk", znoise, dW)
             x, y = x_next, y_next
     return kept, alive
 
 
 def _flat_steps(model: SdeModel, grid: TimeGrid, inc: np.ndarray, x0: np.ndarray, keep):
-    """_einsum_steps at m = d = 1 for a model with a live Z (not affine), on (B,) arrays.
+    """_einsum_steps at m = d = 1 for a model not declared ``linear``, on (B,) arrays.
 
     The loop updates (B,) views of the state and the sums in place with
     ufuncs into buffers made once. It evaluates the same coefficients and
@@ -273,10 +259,8 @@ def _flat_steps(model: SdeModel, grid: TimeGrid, inc: np.ndarray, x0: np.ndarray
     y <- (y + (db y) dt) + dsY dW with dsY = dsigma y, z <- (z + ((d2b y) y +
     db z) dt) + ((d2sigma y) y + dsigma z) dW, and the sums of _fold_step
     from V = yinv sigma, S = dt (V V), R = (yinv z) S - dt (V (yinv dsY)).
-    Z and every running sum are live; only the dsigma terms are gated.
     """
     B, N, dt = inc.shape[0], grid.steps, grid.dt
-    general_sigma = not model.state_independent_diffusion
     x = np.array(np.broadcast_to(x0, (B, 1)))
     alive = np.ones(B, dtype=bool)
     state = dict(X=x, Y=np.ones((B, 1, 1)), Yinv=np.empty((B, 1, 1)), Z=np.zeros((B, 1, 1, 1)))
@@ -301,10 +285,10 @@ def _flat_steps(model: SdeModel, grid: TimeGrid, inc: np.ndarray, x0: np.ndarray
 
             t = n * dt
             np.copyto(dW, inc[:, n, 0])
-            b, sig, db = (f(t, x).reshape(B) for f in (model.b, model.sigma, model.db))
-            if general_sigma:
-                dsig = model.dsigma(t, x).reshape(B)
-                np.multiply(dsig, ys, out=dsY)
+            b, sig, db, dsig = (
+                f(t, x).reshape(B) for f in (model.b, model.sigma, model.db, model.dsigma)
+            )
+            np.multiply(dsig, ys, out=dsY)
             np.multiply(yi, sig, out=V)
             np.multiply(V, V, out=S)
             S *= dt
@@ -312,31 +296,27 @@ def _flat_steps(model: SdeModel, grid: TimeGrid, inc: np.ndarray, x0: np.ndarray
             s["B1"] += np.multiply(S, s["Gam"], out=u)
             np.multiply(yi, zs, out=R)
             R *= S
-            if general_sigma:
-                np.multiply(yi, dsY, out=u)
-                u *= V
-                R -= np.multiply(u, dt, out=u)
+            np.multiply(yi, dsY, out=u)
+            u *= V
+            R -= np.multiply(u, dt, out=u)
             s["A"] += R
             s["B2"] += np.multiply(R, s["Gam"], out=u)
             s["C2"] += np.multiply(S, s["R_tot"], out=u)
             s["R_tot"] += R
             s["Gam"] += S
 
-            if general_sigma:
-                np.multiply(model.d2sigma(t, x).reshape(B), ys, out=v)
-                v *= ys
-                v += np.multiply(dsig, zs, out=w)
-                v *= dW
+            np.multiply(model.d2sigma(t, x).reshape(B), ys, out=v)
+            v *= ys
+            v += np.multiply(dsig, zs, out=w)
+            v *= dW
             np.multiply(model.d2b(t, x).reshape(B), ys, out=u)
             u *= ys
             u += np.multiply(db, zs, out=w)
             zs += np.multiply(u, dt, out=u)
-            if general_sigma:
-                zs += v
+            zs += v
             np.multiply(db, ys, out=u)
             ys += np.multiply(u, dt, out=u)
-            if general_sigma:
-                ys += np.multiply(dsY, dW, out=u)
+            ys += np.multiply(dsY, dW, out=u)
             # b and sigma may be views of x, so both terms are formed first.
             np.multiply(sig, dW, out=v)
             xs += np.multiply(b, dt, out=u)

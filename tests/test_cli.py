@@ -291,13 +291,11 @@ sampling:
         assert "overall: FAIL" in (out / "validation.txt").read_text()
 
     def test_wrongly_flagged_affine_model_fails(self, tmp_path, capsys, monkeypatch):
-        # state_dependent_tanh has d2sigma != 0, so with affine_coefficients
-        # set its delta drops Z terms it needs. The corollary check clears
-        # both flags and must see the difference.
+        # state_dependent_tanh has dsigma and d2sigma != 0, so declared
+        # linear its delta drops the Z and dsigma terms it needs. The corollary
+        # check clears the flag and must see the difference.
         real = cli.make_model
-        monkeypatch.setattr(
-            cli, "make_model", lambda *a: replace(real(*a), affine_coefficients=True)
-        )
+        monkeypatch.setattr(cli, "make_model", lambda *a: replace(real(*a), linear=True))
         cfg = _write(
             tmp_path,
             """
@@ -458,6 +456,33 @@ class TestErrorPaths:
             ["score", "--config", cfg, "--out", str(tmp_path / "o")],
             capsys,
             "score.y_min: expected 2 components for linear_multidim, got 1",
+        )
+
+    @pytest.mark.parametrize(
+        "model,needle",
+        [
+            ("ornstein_uhlenbeck\n  params: {theta: .nan}", "model.params.theta: expected a finite"),
+            ("ornstein_uhlenbeck\n  params: {theta: on}", "model.params.theta: expected a finite"),
+            ("state_dependent_tanh\n  params: {alpha: 1.5}", "model.params: need |alpha| < 1"),
+            (
+                "linear_multidim\n  params: {A: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}",
+                "model.params: linear_multidim expects 2x2 matrices",
+            ),
+        ],
+        ids=["nan", "bool", "tanh_alpha", "linear_shape"],
+    )
+    def test_bad_model_params_named(self, tmp_path, capsys, model, needle):
+        # A NaN parameter used to simulate every path and then fail with
+        # "only 0 valid paths survived", naming no key; YAML's on is a bool,
+        # not 1.0. A builtin's own refusal is reported under the key too.
+        cfg = _write(
+            tmp_path,
+            f"model:\n  name: {model}\ngrid:\n  horizon: 1.0\n  steps: 16\n"
+            "sampling:\n  x0: [0.0]\n  n_paths: 500\n  seed: 1\n"
+            "score:\n  t_eval: [1.0]\n  y_min: [-1.0]\n  y_max: [1.0]\n  y_count: [5]\n",
+        )
+        self._expect_config_error(
+            ["score", "--config", cfg, "--out", str(tmp_path / "o")], capsys, needle
         )
 
     def test_tables_provider_needs_directory(self, tmp_path, capsys):

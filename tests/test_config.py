@@ -133,6 +133,28 @@ class TestParse:
             lambda r: r.__setitem__("reverse", {"provider": "tables"}),
             "reverse.tables_dir: required when provider is 'tables'",
         ),
+        (lambda r: r["grid"].__setitem__("horizon", True), "grid.horizon: expected a finite number, got True"),
+        (lambda r: r["sampling"].__setitem__("x0", [True]), "sampling.x0: expected a list of numbers, got \\[True\\]"),
+        (lambda r: r["sampling"].__setitem__("x0", False), "sampling.x0: expected a list of numbers, got \\[False\\]"),
+        (lambda r: r.__setitem__("score", {"t_eval": [1.0, True]}), "score.t_eval: expected a list of numbers"),
+        (
+            lambda r: r["model"].__setitem__("params", {"theta": math.nan}),
+            "model.params.theta: expected a finite number, got nan",
+        ),
+        (
+            lambda r: r["model"].__setitem__("params", {"sigma0": -math.inf}),
+            "model.params.sigma0: expected a finite number, got -inf",
+        ),
+        (
+            lambda r: r["model"].__setitem__("params", {"theta": True}),
+            "model.params.theta: expected a finite number, got True",
+        ),
+        (
+            lambda r: r["model"].update(
+                name="linear_multidim", params={"A": [[-1.0, 0.0], [0.0, math.nan]]}
+            ),
+            "model.params.A: expected a finite number, got nan",
+        ),
     ],
 )
 def test_rejections_name_the_field(mutate, needle):

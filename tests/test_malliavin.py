@@ -97,12 +97,11 @@ def _explosive():
         dsigma=lambda t, x: const(x, 0.0, 1, 1, 1),
         d2b=lambda t, x: const(x, 2.0, 1, 1, 1),
         d2sigma=lambda t, x: const(x, 0.0, 1, 1, 1, 1),
-        state_independent_diffusion=True,
     )
 
 
 def _geometric():
-    """dX = 0.1 X dt + 0.4 X dB: affine coefficients with a state-dependent sigma."""
+    """dX = 0.1 X dt + 0.4 X dB: affine coefficients with a state-dependent sigma, not linear."""
     return SdeModel(
         "geometric",
         1,
@@ -114,7 +113,6 @@ def _geometric():
         dsigma=lambda t, x: np.full(x.shape[:-1] + (1, 1, 1), 0.4),
         d2b=lambda t, x: np.zeros(x.shape[:-1] + (1, 1, 1)),
         d2sigma=lambda t, x: np.zeros(x.shape[:-1] + (1, 1, 1, 1)),
-        affine_coefficients=True,
     )
 
 
@@ -362,16 +360,14 @@ class TestIntegralStructure:
         grid = TimeGrid(horizon=1.0, steps=32)
         inc = sample_brownian_block(grid, 1, 17, 0, 8)
         one = inc[5:6]
-        cleared = replace(model, state_independent_diffusion=False)
-        general = skorokhod_batch(simulate_variation_batch(cleared, grid, one, [0.2]))
-        reduced = skorokhod_batch(simulate_variation_batch(model, grid, one, [0.2]))
-        assert general["total"][0, 0, 0] == reduced["total"][0, 0, 0]
+        general = skorokhod_batch(simulate_variation_batch(model, grid, one, [0.2]))
         ito, a, b, c = (general[key][0, 0, 0] for key in ("ito", "a", "b", "c"))
         assert general["total"][0, 0, 0] == pytest.approx(ito - a + b + c, rel=1e-12)
 
     def test_flag_decides_whether_dsigma_is_evaluated(self):
-        # Skipping the dsigma terms keeps every bit on a state-independent
-        # model, so only the call count shows whether the shortcut is taken.
+        # Skipping the dsigma terms keeps every bit on a linear model, so only
+        # the call count shows whether the shortcut is taken. Every model not
+        # declared linear evaluates dsigma, a constant-sigma one included.
         def dsigma_calls(model):
             calls = []
 
@@ -386,7 +382,8 @@ class TestIntegralStructure:
 
         ou = make_model("ornstein_uhlenbeck")
         assert dsigma_calls(ou) == 0
-        assert dsigma_calls(replace(ou, state_independent_diffusion=False)) >= 1
+        assert dsigma_calls(replace(ou, linear=False)) >= 1
+        assert dsigma_calls(make_model("bounded_nonlinear_drift")) >= 1
         assert dsigma_calls(make_model("state_dependent_tanh")) >= 1
 
 
@@ -498,54 +495,45 @@ class TestOnePass:
         ],
     )
     def test_clearing_a_flag_keeps_every_bit(self, name, x0):
-        # Each flag only skips work whose result is exactly zero, and the
-        # coefficients it gates are never evaluated while it is set. The
-        # simulation keeps only the running sums that are not zero. The
-        # geometric model is affine with a live dsigma term: its flagged run
-        # takes the einsum step, and its cleared run the flat step.
+        # The linear flag only skips work whose result is exactly zero, and
+        # dsigma, d2b and d2sigma are never evaluated while it is set. A linear
+        # model keeps only P and Gam; every other model keeps all seven sums,
+        # the geometric one (affine, with a live dsigma term) included.
         model = _geometric() if name == "geometric" else make_model(name)
         grid = TimeGrid(horizon=1.0, steps=32)
         inc = sample_brownian_block(grid, model.d, 19, 0, 16)
         flagged = simulate_variation_batch(model, grid, inc, x0)
-        kept = {
-            "ornstein_uhlenbeck": {"P", "Gam"},
-            "linear_multidim": {"P", "Gam"},
-            "geometric": {"P", "A", "Gam", "R_tot", "B2", "C2"},
-        }.get(name, {"P", "A", "Gam", "R_tot", "B1", "B2", "C2"})
+        kept = {"P", "Gam"} if model.linear else {"P", "A", "Gam", "R_tot", "B1", "B2", "C2"}
+        assert model.linear == (name in ("ornstein_uhlenbeck", "linear_multidim"))
         assert set(flagged.sums) == kept
-        # The 600-path batch of a harvest at nodes 8 and 32, under each flag setting.
+        if not model.linear:
+            return
+        # The 600-path batch of a harvest at nodes 8 and 32, flagged and cleared.
         inc600 = sample_brownian_block(grid, model.d, 19, 0, 600)
 
         def terms(sde):
             batch = simulate_variation_batch(sde, grid, inc600, x0, nodes=[8, 32])
             return skorokhod_batch(batch, [8, 32])
 
-        want = terms(model)
-        gated = {
-            "affine_coefficients": ("d2b", "d2sigma"),
-            "state_independent_diffusion": ("dsigma", "d2sigma"),
-        }
-        for flag, coeffs in gated.items():
-            if not getattr(model, flag):
-                continue
-            cleared = replace(model, **{flag: False})
-            general = simulate_variation_batch(cleared, grid, inc, x0)
-            for field in ("X", "Y", "Yinv", "Z", "finite", "valid"):
-                assert np.array_equal(getattr(flagged, field), getattr(general, field)), field
-            for key, s in flagged.sums.items():
-                assert np.array_equal(s, general.sums[key]), key
-            got = terms(cleared)
-            for key in want:
-                npt.assert_array_equal(got[key], want[key], err_msg=key)
+        cleared = replace(model, linear=False)
+        general = simulate_variation_batch(cleared, grid, inc, x0)
+        for field in ("X", "Y", "Yinv", "Z", "finite", "valid"):
+            assert np.array_equal(getattr(flagged, field), getattr(general, field)), field
+        for key, s in flagged.sums.items():
+            assert np.array_equal(s, general.sums[key]), key
+        want, got = terms(model), terms(cleared)
+        for key in want:
+            npt.assert_array_equal(got[key], want[key], err_msg=key)
 
-            calls = []
+        calls = []
 
-            def counting(coeff):
-                fn = getattr(model, coeff)
-                return lambda t, x: calls.append(coeff) or fn(t, x)
+        def counting(coeff):
+            fn = getattr(model, coeff)
+            return lambda t, x: calls.append(coeff) or fn(t, x)
 
-            simulate_variation_batch(replace(model, **{c: counting(c) for c in coeffs}), grid, inc, x0)
-            assert calls == [], flag
+        coeffs = ("dsigma", "d2b", "d2sigma")
+        simulate_variation_batch(replace(model, **{c: counting(c) for c in coeffs}), grid, inc, x0)
+        assert calls == []
 
 
 def _same_bits(a, b):
@@ -566,8 +554,8 @@ def _per_node(batch, nodes):
 
 
 def _general(name):
-    """A builtin with both flags cleared, so every running sum is kept."""
-    return replace(make_model(name), state_independent_diffusion=False, affine_coefficients=False)
+    """A builtin with the linear flag cleared, so every running sum is kept."""
+    return replace(make_model(name), linear=False)
 
 
 class TestBlockedContraction:
@@ -633,11 +621,7 @@ class TestBlockedContraction:
         rng = np.random.default_rng(3)
         A = -np.eye(m) + 0.1 * rng.standard_normal((m, m))
         Sigma = np.eye(m) + 0.1 * rng.standard_normal((m, m))
-        model = replace(
-            _linear("linear_3d", A, Sigma, {}),
-            state_independent_diffusion=False,
-            affine_coefficients=False,
-        )
+        model = replace(_linear("linear_3d", A, Sigma, {}), linear=False)
         grid = TimeGrid(horizon=1.0, steps=64)
         batch = simulate_variation_batch(model, grid, sample_brownian_block(grid, m, 5, 0, paths), [0.0] * m)
         one_array = paths * len(nodes) * m**4 * 8

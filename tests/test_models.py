@@ -41,7 +41,7 @@ class TestOrnsteinUhlenbeck:
         npt.assert_allclose(m.db(0.0, x), [[[-2.0]]])
         npt.assert_allclose(m.dsigma(0.0, x), np.zeros((1, 1, 1, 1)))
         npt.assert_allclose(m.d2b(0.0, x), np.zeros((1, 1, 1, 1)))
-        assert m.state_independent_diffusion
+        assert m.linear
 
     def test_dimensions(self):
         m = make_model("ornstein_uhlenbeck")
@@ -85,7 +85,9 @@ class TestStateDependentTanh:
             make_model("state_dependent_tanh", {"alpha": -1.5})
 
     def test_not_state_independent(self):
-        assert not make_model("state_dependent_tanh").state_independent_diffusion
+        m = make_model("state_dependent_tanh")
+        assert not m.linear
+        assert m.dsigma(0.0, np.array([[0.0]]))[0, 0, 0, 0] != 0.0
 
 
 class TestLinearMultidim:
@@ -178,14 +180,22 @@ def test_tanh_derivative_consistency(alpha, xval):
 
 
 def test_affine_flag_only_on_models_without_curvature():
-    # The simulator leaves Z at 0 on flagged models, so their second
-    # derivatives must vanish everywhere, not only where a test looks.
-    rng = np.random.default_rng(23)
-    flagged = sorted(name for name in BUILTIN_MODELS if make_model(name).affine_coefficients)
+    # On a model declared linear the simulator never evaluates dsigma, d2b or
+    # d2sigma, reads db at the origin and shares one Y over every path, so
+    # those three must vanish and db and sigma must not move with the state,
+    # at check_derivatives' states and far beyond them.
+    flagged = sorted(name for name in BUILTIN_MODELS if make_model(name).linear)
     assert flagged == ["linear_multidim", "ornstein_uhlenbeck"]
     for name in flagged:
         model = make_model(name)
-        x = rng.uniform(-5.0, 5.0, size=(200, model.m))
-        t = rng.uniform(0.0, 1.0, size=200)
-        assert np.all(model.d2b(t, x) == 0.0), name
-        assert np.all(model.d2sigma(t, x) == 0.0), name
+        rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
+        x = rng.uniform(-2.0, 2.0, size=(100, model.m))
+        t = rng.uniform(0.0, 1.0, size=(100,))
+        wide = np.random.default_rng(23)
+        x = np.concatenate([x, wide.uniform(-5.0, 5.0, size=(200, model.m))])
+        t = np.concatenate([t, wide.uniform(0.0, 1.0, size=200)])
+        for coeff in ("dsigma", "d2b", "d2sigma"):
+            assert np.all(getattr(model, coeff)(t, x) == 0.0), (name, coeff)
+        for coeff in ("db", "sigma"):
+            values = getattr(model, coeff)(t, x)
+            assert np.all(values == values[:1]), (name, coeff)

@@ -136,6 +136,13 @@ class TestKdeScore:
         assert res.reliable
         assert np.all(np.abs(res.score) < 0.2)
 
+    def test_only_auto_names_a_bandwidth_rule(self):
+        samples = np.random.default_rng(8).normal(size=1000)
+        auto = kde_score(samples, 0.5, bandwidth="auto")
+        assert auto.score[0] == kde_score(samples, 0.5).score[0]
+        with pytest.raises(ValueError, match="bandwidth: expected 'auto' or a number, got 'wide'"):
+            kde_score(samples, 0.5, bandwidth="wide")
+
     def test_far_tail_flagged_unreliable(self):
         rng = np.random.default_rng(9)
         samples = rng.normal(size=1000)
@@ -205,7 +212,6 @@ class TestDensitySolver:
             dsigma=ou.dsigma,
             d2b=ou.d2b,
             d2sigma=ou.d2sigma,
-            state_independent_diffusion=True,
         )
         with pytest.raises(ValueError, match="ou_speeding_up.*time-dependent"):
             fokker_planck_1d(model, 0.0, 1.0, -5.0, 5.0, n_cells=100, n_steps=100)

@@ -164,13 +164,13 @@ class TestVariationProcesses:
         "name,x0", [("ornstein_uhlenbeck", [0.4]), ("linear_multidim", [0.3, -0.2])]
     )
     def test_linear_models_share_one_first_variation(self, name, x0):
-        # With both flags set Y is deterministic, so db is evaluated on one row
-        # and that row of (Y, Yinv) is kept for every path; clearing either
-        # flag puts every path back on its own row.
+        # On a model declared linear Y is deterministic, so db is evaluated on
+        # one row and that row of (Y, Yinv) is kept for every path; clearing
+        # the flag puts every path back on its own row.
         model = make_model(name)
         g = TimeGrid(horizon=1.0, steps=16)
         inc = sample_brownian_block(g, model.d, seed=5, first_path=0, n_paths=7)
-        for cleared in ({}, {"affine_coefficients": False}, {"state_independent_diffusion": False}):
+        for cleared in ({}, {"linear": False}):
             rows = []
 
             def db(t, x, fn=model.db):
@@ -261,16 +261,14 @@ class TestVariationProcesses:
     def test_shared_first_variation_ignores_a_blown_up_path(self):
         # A linear model whose db carries x through as 0*x: path 0 overflows,
         # yet the shared Y is read at a finite state, so only path 0 is
-        # flagged, exactly as on the per-path route with a flag cleared.
+        # flagged, exactly as on the per-path route with the flag cleared.
         model = make_model("ornstein_uhlenbeck", {"theta": 600.0})
         model = replace(model, db=lambda t, x: -600.0 + 0.0 * x[..., None])
         g = TimeGrid(horizon=1.0, steps=256)
         inc = sample_brownian_block(g, 1, seed=1, first_path=0, n_paths=2)
         x0 = np.array([[1e308], [0.0]])
         shared = simulate_variation_batch(model, g, inc, x0=x0)
-        per_path = simulate_variation_batch(
-            replace(model, affine_coefficients=False), g, inc, x0=x0
-        )
+        per_path = simulate_variation_batch(replace(model, linear=False), g, inc, x0=x0)
         assert shared.valid.tolist() == per_path.valid.tolist() == [False, True]
         for field in ("X", "Y", "Yinv", "Z"):
             npt.assert_array_equal(getattr(shared, field)[1], getattr(per_path, field)[1])
@@ -306,11 +304,7 @@ class TestFlatStep:
         # x_views is dX = X dt + X dB with b and sigma returned as views of
         # the state array, which the flat step updates in place.
         if name == "ou_flags_cleared":
-            model = replace(
-                make_model("ornstein_uhlenbeck", {"theta": 2.0}),
-                state_independent_diffusion=False,
-                affine_coefficients=False,
-            )
+            model = replace(make_model("ornstein_uhlenbeck", {"theta": 2.0}), linear=False)
         elif name == "x_views":
             one, zero = np.ones((1, 1, 1)), np.zeros((1, 1, 1, 1))
             model = replace(
@@ -347,20 +341,17 @@ class TestFlatStep:
         [
             ("state_dependent_tanh", "_flat_steps"),
             ("bounded_nonlinear_drift", "_flat_steps"),
-            ("ou_affine_cleared", "_flat_steps"),
+            ("ou_linear_cleared", "_flat_steps"),
             ("ornstein_uhlenbeck", "_einsum_steps"),
-            ("ou_sigma_cleared", "_einsum_steps"),
-            ("geometric", "_einsum_steps"),
+            ("geometric", "_flat_steps"),
         ],
     )
     def test_only_a_live_second_variation_takes_the_flat_step(self, name, loop, monkeypatch):
-        # The flat step serves m = d = 1 models not flagged affine_coefficients;
-        # an affine one, with or without a state-dependent sigma, runs the
-        # einsum step. The loop not chosen is patched out.
-        ou = make_model("ornstein_uhlenbeck")
+        # The flat step serves every m = d = 1 model not declared linear, the
+        # geometric one with its affine coefficients included; a linear one
+        # runs the einsum step on its shared Y. The loop not chosen is patched out.
         built = {
-            "ou_affine_cleared": replace(ou, affine_coefficients=False),
-            "ou_sigma_cleared": replace(ou, state_independent_diffusion=False),
+            "ou_linear_cleared": replace(make_model("ornstein_uhlenbeck"), linear=False),
             "geometric": _geometric(),
         }
         model = built[name] if name in built else make_model(name)
@@ -373,7 +364,7 @@ class TestFlatStep:
 
 
 def _geometric():
-    """dX = 0.1 X dt + 0.4 X dB: affine coefficients with a state-dependent sigma."""
+    """dX = 0.1 X dt + 0.4 X dB: affine coefficients with a state-dependent sigma, not linear."""
     return replace(
         make_model("state_dependent_tanh"),
         name="geometric",
@@ -383,7 +374,6 @@ def _geometric():
         dsigma=lambda t, x: np.full(x.shape[:-1] + (1, 1, 1), 0.4),
         d2b=lambda t, x: np.zeros(x.shape[:-1] + (1, 1, 1)),
         d2sigma=lambda t, x: np.zeros(x.shape[:-1] + (1, 1, 1, 1)),
-        affine_coefficients=True,
     )
 
 
